@@ -76,33 +76,11 @@ maybePrimeForStores(Machine &m, MemOp::Kind kind, const MemPolicy &policy)
     m.caches().primeLlcDirty(prime, 0);
 }
 
-void
-exportRas(const Machine &m, RasStats *rasOut)
-{
-    if (!rasOut)
-        return;
-    if (const RasStats *rs = m.rasStats())
-        *rasOut = *rs;
-    else
-        rasOut->reset();
-}
-
-void
-exportQos(const Machine &m, QosStats *qosOut)
-{
-    if (!qosOut)
-        return;
-    if (auto qs = m.qosStats())
-        *qosOut = *qs;
-    else
-        qosOut->reset();
-}
-
 } // namespace
 
 double
 runSeqBandwidth(Target target, MemOp::Kind kind, std::uint32_t threads,
-                const Options &opts, RasStats *rasOut, QosStats *qosOut)
+                const Options &opts)
 {
     auto m = makeMachine(target, opts, opts.prefetch);
     const MemPolicy policy = MemPolicy::membind(targetNode(*m, target));
@@ -116,8 +94,6 @@ runSeqBandwidth(Target target, MemOp::Kind kind, std::uint32_t threads,
                 buf, std::uint64_t(t) * regionBytes, regionBytes,
                 endlessBytes, kind);
         });
-    exportRas(*m, rasOut);
-    exportQos(*m, qosOut);
     if (opts.onMachineDone)
         opts.onMachineDone(*m);
     return gbps;
@@ -125,8 +101,7 @@ runSeqBandwidth(Target target, MemOp::Kind kind, std::uint32_t threads,
 
 double
 runRandBandwidth(Target target, MemOp::Kind kind, std::uint32_t threads,
-                 std::uint64_t blockBytes, const Options &opts,
-                 RasStats *rasOut, QosStats *qosOut)
+                 std::uint64_t blockBytes, const Options &opts)
 {
     auto m = makeMachine(target, opts, opts.prefetch);
     const MemPolicy policy = MemPolicy::membind(targetNode(*m, target));
@@ -144,8 +119,6 @@ runRandBandwidth(Target target, MemOp::Kind kind, std::uint32_t threads,
                 endlessBytes, blockBytes, kind, fence,
                 opts.seed + 1000 + t);
         });
-    exportRas(*m, rasOut);
-    exportQos(*m, qosOut);
     if (opts.onMachineDone)
         opts.onMachineDone(*m);
     return gbps;
@@ -153,7 +126,7 @@ runRandBandwidth(Target target, MemOp::Kind kind, std::uint32_t threads,
 
 double
 runLoadedLatency(Target target, std::uint32_t threads,
-                 const Options &opts, RasStats *rasOut, QosStats *qosOut)
+                 const Options &opts)
 {
     CXLMEMO_ASSERT(threads >= 1, "need at least the probe thread");
     auto m = makeMachine(target, opts, opts.prefetch);
@@ -195,8 +168,6 @@ runLoadedLatency(Target target, std::uint32_t threads,
         if (m->runUntil(horizon) && !done)
             CXLMEMO_PANIC("probe starved: event queue drained");
     }
-    exportRas(*m, rasOut);
-    exportQos(*m, qosOut);
     if (opts.onMachineDone)
         opts.onMachineDone(*m);
     return nsFromTicks(end - start) / static_cast<double>(probe_accesses);
@@ -266,7 +237,8 @@ runLoadedLatencyDist(Target target, std::uint32_t threads,
     dist.p99Ns = window_ns.p99();
     if (const RasStats *rs = m->rasStats())
         dist.ras = *rs;
-    exportQos(*m, &dist.qos);
+    if (auto qs = m->qosStats())
+        dist.qos = *qs;
     if (opts.onMachineDone)
         opts.onMachineDone(*m);
     return dist;

@@ -144,18 +144,28 @@ struct CliConfig
 };
 
 /**
- * The CSV header `--csv` emits for @p mode. Exactly one header row is
- * printed per run. With no optional column group active the base
- * column set matches the pre-observability output byte-for-byte; as
- * soon as *any* of @p ras / @p qos / @p hist / @p attrib is active,
- * the full superset (base + RAS + QoS + histogram + attribution
- * columns) is emitted and every row carries every group (zeros for
- * inactive ones), so the column set is stable across
- * fault/QoS/histogram/attribution configurations and mergeable across
- * runs.
+ * The CSV header `--csv` emits for @p mode: exactly one header row per
+ * run. It is generated from the same column lists as every CSV row
+ * (the mode's base columns, then one list per active tier), so a
+ * header and its rows cannot drift apart. With no optional tier
+ * active it is the mode's base columns alone. As soon as *any* tier is
+ * active, machine modes carry the RAS, QoS and histogram tiers
+ * together (zeros for the inactive ones), so the column set is stable
+ * across configurations and mergeable across runs; the attribution
+ * (always on in report mode) and tail tiers append after them. Pool
+ * rows carry only the histogram, tail and (with @p attrib) fabric
+ * tiers.
  */
 std::string csvHeader(CliMode mode, bool ras, bool qos, bool hist,
                       bool attrib = false, bool tail = false);
+
+/**
+ * The CSV columns that identify what a row measured rather than how
+ * fast (target, op, threads, block, ..., host, port, role), in key
+ * order, taken from the modes' column lists: `memo diff` matches rows
+ * on the ones its header carries.
+ */
+std::vector<std::string> csvIdentityColumns();
 
 /**
  * Parse argv into a CliConfig.

@@ -15,6 +15,7 @@
 #include <map>
 #include <unordered_map>
 
+#include "memo/cli.hh"
 #include "sim/attribution.hh"
 #include "sim/fabric_attrib.hh"
 
@@ -25,15 +26,6 @@ namespace memo
 
 namespace
 {
-
-/** Columns that identify *what* was measured rather than *how fast*.
- *  The intersection of this list with the actual header forms the
- *  row-matching key, so machine sweeps key on target/op/threads/...
- *  and pool runs key on host/port/role. */
-const char *const kIdentityColumns[] = {
-    "target", "op", "threads", "block", "wss", "path",
-    "method", "batch", "host",  "port",  "role",
-};
 
 struct CsvTable
 {
@@ -95,7 +87,10 @@ parseCsv(const std::string &text, const char *which, CsvTable &t,
             t.header = cells;
             for (std::size_t i = 0; i < cells.size(); ++i)
                 t.col.emplace(cells[i], i);
-            for (const char *id : kIdentityColumns) {
+            // The identity columns present in this header form the
+            // row-matching key, so machine sweeps key on
+            // target/op/threads/... and pool runs on host/port/role.
+            for (const std::string &id : csvIdentityColumns()) {
                 auto it = t.col.find(id);
                 if (it != t.col.end())
                     idCols.push_back(it->second);

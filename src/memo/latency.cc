@@ -96,7 +96,7 @@ chaseAverageNs(Machine &m, const NumaBuffer &buf, std::uint64_t wss,
 } // namespace
 
 LatencyResult
-runLatency(Target target, const Options &opts, RasStats *rasOut)
+runLatency(Target target, const Options &opts)
 {
     // The paper disables prefetching at all levels for latency tests.
     auto m = makeMachine(target, opts, /*prefetch=*/false);
@@ -114,12 +114,6 @@ runLatency(Target target, const Options &opts, RasStats *rasOut)
     m->caches().flushAllCaches();
     res.ptrChaseNs = chaseAverageNs(*m, buf, chase_space, opts.seed,
                                     /*warmup=*/false);
-    if (rasOut) {
-        if (const RasStats *rs = m->rasStats())
-            *rasOut = *rs;
-        else
-            rasOut->reset();
-    }
     if (opts.onMachineDone)
         opts.onMachineDone(*m);
     return res;
@@ -128,7 +122,7 @@ runLatency(Target target, const Options &opts, RasStats *rasOut)
 std::vector<double>
 runPtrChaseWssSweep(Target target,
                     const std::vector<std::uint64_t> &wssBytes,
-                    const Options &opts, RasStats *rasOut)
+                    const Options &opts)
 {
     auto m = makeMachine(target, opts, /*prefetch=*/false);
     const MemPolicy policy = MemPolicy::membind(targetNode(*m, target));
@@ -141,7 +135,6 @@ runPtrChaseWssSweep(Target target,
     const std::uint64_t llc = m->caches().params().llc.sizeBytes;
     std::vector<double> out;
     out.reserve(wssBytes.size());
-    RasStats ras_total;
     for (std::uint64_t wss : wssBytes) {
         m->caches().flushAllCaches();
         // The machine is shared across sweep points: clear device and
@@ -152,11 +145,7 @@ runPtrChaseWssSweep(Target target,
         // beyond 2x LLC the warm-up cannot survive and is skipped.
         const bool warm = wss <= 2 * llc;
         out.push_back(chaseAverageNs(*m, buf, wss, opts.seed, warm));
-        if (const RasStats *rs = m->rasStats())
-            ras_total.merge(*rs);
     }
-    if (rasOut)
-        *rasOut = ras_total;
     if (opts.onMachineDone)
         opts.onMachineDone(*m);
     return out;

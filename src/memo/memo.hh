@@ -80,7 +80,8 @@ struct Options
     /**
      * Invoked on each experiment Machine after its run completes and
      * before the machine is destroyed -- the collection point for
-     * trace events, the metrics timeline and latency histograms.
+     * RAS/QoS counters, trace events, the metrics timeline and
+     * latency histograms.
      * Sweep runners call it from the worker that ran the point, so a
      * shared hook must either be thread-safe or (as the CLI does)
      * each point gets its own Options copy with a per-point hook.
@@ -101,8 +102,7 @@ struct LatencyResult
  * Run the Fig. 2 latency probes against @p target.
  * Prefetching is disabled regardless of @p opts (as in the paper).
  */
-LatencyResult runLatency(Target target, const Options &opts = {},
-                         RasStats *rasOut = nullptr);
+LatencyResult runLatency(Target target, const Options &opts = {});
 
 /**
  * Average pointer-chase latency for each working-set size, after a
@@ -112,19 +112,14 @@ LatencyResult runLatency(Target target, const Options &opts = {},
 std::vector<double> runPtrChaseWssSweep(Target target,
                                         const std::vector<std::uint64_t>
                                             &wssBytes,
-                                        const Options &opts = {},
-                                        RasStats *rasOut = nullptr);
+                                        const Options &opts = {});
 
 /**
  * Aggregate sequential-access bandwidth (GB/s) with @p threads
  * threads issuing @p kind ops (Fig. 3).
- * @param rasOut when non-null, receives the machine's RAS counters
- *               (zeroed when faults are disabled).
  */
 double runSeqBandwidth(Target target, MemOp::Kind kind,
-                       std::uint32_t threads, const Options &opts = {},
-                       RasStats *rasOut = nullptr,
-                       QosStats *qosOut = nullptr);
+                       std::uint32_t threads, const Options &opts = {});
 
 /**
  * Aggregate random-block bandwidth (GB/s): each thread touches
@@ -133,15 +128,11 @@ double runSeqBandwidth(Target target, MemOp::Kind kind,
  */
 double runRandBandwidth(Target target, MemOp::Kind kind,
                         std::uint32_t threads, std::uint64_t blockBytes,
-                        const Options &opts = {},
-                        RasStats *rasOut = nullptr,
-                        QosStats *qosOut = nullptr);
+                        const Options &opts = {});
 
 /** Loaded-latency companion (not a paper figure; used by tests). */
 double runLoadedLatency(Target target, std::uint32_t threads,
-                        const Options &opts = {},
-                        RasStats *rasOut = nullptr,
-                        QosStats *qosOut = nullptr);
+                        const Options &opts = {});
 
 /** Latency distribution of a loaded dependent-load probe. */
 struct LoadedLatencyDist

@@ -283,6 +283,24 @@ TEST(MemoCli, DrillCsvHeaderCarriesLifecycleColumns)
         EXPECT_NE(h.find(col), std::string::npos) << col;
 }
 
+TEST(MemoCli, WatchdogNsConsumesItsValue)
+{
+    for (auto v : {std::vector<std::string>{"--mode", "seq",
+                                            "--watchdog-ns", "5000"},
+                   std::vector<std::string>{"--mode", "seq",
+                                            "--watchdog-ns=5000"}}) {
+        std::string err;
+        const auto cfg = parseCli(v, err);
+        ASSERT_TRUE(cfg.has_value()) << err;
+        EXPECT_DOUBLE_EQ(cfg->watchdogUs, 5.0);
+    }
+    // --watchdog alone keeps its 100 us default.
+    EXPECT_DOUBLE_EQ(parse({"--mode", "seq", "--watchdog"})->watchdogUs,
+                     100.0);
+    EXPECT_FALSE(parse({"--mode", "seq", "--watchdog-ns", "0"}));
+    EXPECT_FALSE(parse({"--mode", "seq", "--watchdog-ns"}));
+}
+
 TEST(MemoCli, HelpShortCircuits)
 {
     auto cfg = parse({"--help"});

@@ -155,14 +155,13 @@ expectRectangular(const std::string &csv)
     EXPECT_GT(rows, 0u) << "no data rows";
 }
 
-/** Run @p args, expect exit code @p rc, and compare stdout with the
- *  golden @p name. */
+/** Run @p args, expect success, and compare stdout with the golden
+ *  @p name. */
 void
-checkCase(const std::string &name, const std::vector<std::string> &args,
-          int rc = 0)
+checkCase(const std::string &name, const std::vector<std::string> &args)
 {
     const CliRun run = runMemo(args);
-    EXPECT_EQ(run.rc, rc) << name;
+    EXPECT_EQ(run.rc, 0) << name;
     for (const std::string &a : args)
         if (a == "--csv")
             expectRectangular(run.out);
@@ -296,9 +295,11 @@ TEST(MemoGolden, LoadedExtrasHuman)
                                 "--threads", "2", "--histograms"});
 }
 
+// Report mode is seq with attribution forced on: its CSV is the
+// attribution tier case's, byte for byte.
 TEST(MemoGolden, ReportCsv)
 {
-    checkCase("report_csv", {"--mode", "report", "--target", "cxl",
+    checkCase("attrib_csv", {"--mode", "report", "--target", "cxl",
                              "--threads", "1,8", "--csv"});
 }
 
@@ -469,6 +470,13 @@ TEST(MemoGolden, TailTierCsv)
 TEST(MemoGolden, TailTierHuman)
 {
     checkCase("tail", kTail);
+}
+
+// A drill watched at a 5 us snapshot interval: the watchdog only
+// observes, so a healthy run prints the same report as without it.
+TEST(MemoGolden, WatchdogInterval)
+{
+    checkCase("watchdog_csv", plus(kDrill, {"--watchdog-ns", "5000"}));
 }
 
 // Every tier at once on the parallel engine: byte-identical at any

@@ -381,11 +381,15 @@ TEST(MachineParallel, FaultStreamIsThreadCountInvariant)
         memo::Options o = parOpts(st);
         o.faults = *fs;
         PointDump d;
-        o.onMachineDone = [&d](Machine &m) { d.stats = m.statsString(); };
         RasStats rs;
+        o.onMachineDone = [&d, &rs](Machine &m) {
+            d.stats = m.statsString();
+            if (const RasStats *s = m.rasStats())
+                rs = *s;
+        };
         d.gbps = memo::runRandBandwidth(memo::Target::Cxl,
                                         MemOp::Kind::Load, 8, 16 * kiB,
-                                        o, &rs);
+                                        o);
         if (st == 1) {
             ref = d;
             refRas = rs;
@@ -415,10 +419,13 @@ TEST(MachineParallel, QosThrottleIsThreadCountInvariant)
         o.qos = *qs;
         PointDump d;
         QosStats q;
-        o.onMachineDone = [&d](Machine &m) { d.stats = m.statsString(); };
+        o.onMachineDone = [&d, &q](Machine &m) {
+            d.stats = m.statsString();
+            if (auto s = m.qosStats())
+                q = *s;
+        };
         d.gbps = memo::runSeqBandwidth(memo::Target::Cxl,
-                                       MemOp::Kind::NtStore, 16, o,
-                                       nullptr, &q);
+                                       MemOp::Kind::NtStore, 16, o);
         EXPECT_TRUE(q.ledgerOk) << st << " sim-threads";
         if (st == 1) {
             ref = d;

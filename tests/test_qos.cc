@@ -554,9 +554,13 @@ TEST(QosDeterminism, ThrottledSweepIdenticalAcrossJobs)
         SweepRunner pool(jobs);
         return pool.map(threads.size(), [&](std::size_t i) {
             QosStats qs;
+            memo::Options o = opts;
+            o.onMachineDone = [&qs](Machine &m) {
+                if (auto s = m.qosStats())
+                    qs = *s;
+            };
             const double bw = memo::runSeqBandwidth(
-                memo::Target::Cxl, MemOp::Kind::NtStore, threads[i],
-                opts, nullptr, &qs);
+                memo::Target::Cxl, MemOp::Kind::NtStore, threads[i], o);
             EXPECT_TRUE(qs.ledgerOk);
             return std::make_pair(bw, qs.creditStallTicks);
         });

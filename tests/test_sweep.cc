@@ -179,9 +179,13 @@ TEST(SweepRunner, FaultSweepIsDeterministicAcrossJobCounts)
 
     auto point = [&](std::size_t i) {
         RasStats ras;
+        memo::Options o = opts;
+        o.onMachineDone = [&ras](Machine &m) {
+            if (const RasStats *rs = m.rasStats())
+                ras = *rs;
+        };
         const double bw = memo::runSeqBandwidth(
-            memo::Target::Cxl, MemOp::Kind::Load, threads[i], opts,
-            &ras);
+            memo::Target::Cxl, MemOp::Kind::Load, threads[i], o);
         char line[512];
         std::snprintf(line, sizeof(line), "%u,%.3f,%s\n", threads[i],
                       bw, ras.summary().c_str());
