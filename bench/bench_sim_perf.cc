@@ -376,7 +376,7 @@ BENCHMARK(BM_EndToEndTracedLoads)->Arg(0)->Arg(64)->Arg(1);
  * single-queue engine; >= 1 = domain-partitioned). The interesting
  * ratios are arg 1 vs arg 0 (parallel-engine overhead on one worker,
  * the <= 5% regression budget) and arg N vs arg 1 (self-relative
- * speedup recorded in BENCH_parallel.json).
+ * speedup recorded by the parallel_st<N> rows of bench_guardrails).
  */
 void
 BM_ParallelFig3Point(benchmark::State &state)

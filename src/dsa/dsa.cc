@@ -1,6 +1,6 @@
 #include "dsa/dsa.hh"
 
-#include <memory>
+#include <algorithm>
 #include <utility>
 
 #include "mem/request.hh"
@@ -17,7 +17,7 @@ Dsa::Dsa(EventQueue &eq, NumaSpace &numa, DsaParams params)
     CXLMEMO_ASSERT(params_.chunkBytes >= cachelineBytes
                        && params_.chunkBytes % cachelineBytes == 0,
                    "chunk must be whole cachelines");
-    engineBusy_.assign(params_.numEngines, false);
+    streams_.resize(params_.numEngines);
 }
 
 bool
@@ -56,7 +56,7 @@ Dsa::tryDispatch()
     while (!wq_.empty()) {
         std::uint32_t engine = params_.numEngines;
         for (std::uint32_t e = 0; e < params_.numEngines; ++e) {
-            if (!engineBusy_[e]) {
+            if (!streams_[e].busy) {
                 engine = e;
                 break;
             }
@@ -65,121 +65,108 @@ Dsa::tryDispatch()
             return; // all PEs busy; re-armed on job completion
         Job job = std::move(wq_.front());
         wq_.pop_front();
-        engineBusy_[engine] = true;
         runJob(engine, std::move(job));
     }
 }
 
-namespace
-{
-
-/** Per-descriptor streaming state, shared by the chunk callbacks. */
-struct StreamState
-{
-    std::uint32_t engine = 0;
-    std::vector<DsaDescriptor> descs;
-    Dsa::Done onComplete;
-    std::size_t idx = 0;
-    std::uint64_t cursor = 0;   //!< next byte to read
-    std::uint64_t written = 0;  //!< bytes fully written
-    std::uint32_t inFlight = 0;
-    Tick dispatched = 0; //!< engine grab time (latency accounting)
-    /** Issue loop; cleared at descriptor end to break the ownership
-     *  cycle (state -> pump closure -> state). */
-    InlineCallback<void()> pump;
-};
-
-} // namespace
-
 void
 Dsa::runJob(std::uint32_t engine, Job job)
 {
-    auto st = std::make_shared<StreamState>();
-    st->engine = engine;
-    st->descs = std::move(job.descs);
-    st->onComplete = std::move(job.onComplete);
-    st->idx = 0;
-    st->dispatched = eq_.curTick();
+    Stream &st = streams_[engine];
+    st.descs = std::move(job.descs);
+    st.onComplete = std::move(job.onComplete);
+    st.idx = 0;
+    st.cursor = 0;
+    st.written = 0;
+    st.inFlight = 0;
+    st.dispatched = eq_.curTick();
+    st.busy = true;
     if (station_)
         station_->account(eq_.curTick() - job.submitted, 0, /*busy=*/0,
                           false, eq_.curTick());
+    pump(engine);
+}
 
-    st->pump = [this, st] {
-        const DsaDescriptor &d = st->descs[st->idx];
-        while (st->inFlight < params_.chunksInFlight
-               && st->cursor < d.bytes) {
-            const std::uint64_t off = st->cursor;
-            const auto len = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(params_.chunkBytes,
-                                        d.bytes - off));
-            st->cursor += len;
-            ++st->inFlight;
+void
+Dsa::pump(std::uint32_t engine)
+{
+    Stream &st = streams_[engine];
+    const DsaDescriptor &d = st.descs[st.idx];
+    const auto source =
+        static_cast<std::uint16_t>(params_.sourceBase + engine);
+    while (st.inFlight < params_.chunksInFlight && st.cursor < d.bytes) {
+        const std::uint64_t off = st.cursor;
+        const auto len = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(params_.chunkBytes, d.bytes - off));
+        st.cursor += len;
+        ++st.inFlight;
 
-            Addr src_local = 0;
-            MemoryDevice &src_dev = numa_.route(
-                d.src->translate(d.srcOffset + off), src_local);
-            MemRequest read;
-            read.addr = src_local;
-            read.size = len;
-            read.cmd = MemCmd::Read;
-            read.source = static_cast<std::uint16_t>(
-                params_.sourceBase + st->engine);
-            read.onComplete = [this, st, off, len](Tick) {
-                const DsaDescriptor &d2 = st->descs[st->idx];
-                Addr dst_local = 0;
-                MemoryDevice &dst_dev = numa_.route(
-                    d2.dst->translate(d2.dstOffset + off), dst_local);
-                MemRequest write;
-                write.addr = dst_local;
-                write.size = len;
-                // DSA writes bypass the caches like NT stores.
-                write.cmd = MemCmd::NtWrite;
-                write.source = static_cast<std::uint16_t>(
-                    params_.sourceBase + st->engine);
-                write.onComplete = [this, st, len](Tick t) {
-                    --st->inFlight;
-                    st->written += len;
-                    bytesCopied_ += len;
-                    if (st->written < st->descs[st->idx].bytes) {
-                        st->pump();
-                        return;
-                    }
-                    // Descriptor finished.
-                    if (st->idx + 1 < st->descs.size()) {
-                        ++st->idx;
-                        st->cursor = 0;
-                        st->written = 0;
-                        st->pump();
-                        return;
-                    }
-                    // Job finished: completion record + free the PE.
-                    st->pump = nullptr;
-                    const Tick done = t + params_.completionLatency;
-                    if (st->onComplete) {
-                        eq_.schedule(done,
-                                     [cb = std::move(st->onComplete),
-                                      done] { cb(done); });
-                    }
-                    CXLMEMO_ASSERT(wqOccupancy_ > 0, "WQ underflow");
-                    --wqOccupancy_;
-                    if (station_) {
-                        station_->exitNow(eq_.curTick());
-                        // An engine is genuinely serial per job: its
-                        // whole service time is busy occupancy.
-                        station_->account(0,
-                                          eq_.curTick() - st->dispatched,
-                                          eq_.curTick() - st->dispatched,
-                                          false, eq_.curTick());
-                    }
-                    engineBusy_[st->engine] = false;
-                    tryDispatch();
-                };
-                dst_dev.access(std::move(write));
+        Addr src_local = 0;
+        MemoryDevice &src_dev =
+            numa_.route(d.src->translate(d.srcOffset + off), src_local);
+        MemRequest read;
+        read.addr = src_local;
+        read.size = len;
+        read.cmd = MemCmd::Read;
+        read.source = source;
+        read.onComplete = [this, engine, source, off, len](Tick) {
+            const DsaDescriptor &d2 =
+                streams_[engine].descs[streams_[engine].idx];
+            Addr dst_local = 0;
+            MemoryDevice &dst_dev = numa_.route(
+                d2.dst->translate(d2.dstOffset + off), dst_local);
+            MemRequest write;
+            write.addr = dst_local;
+            write.size = len;
+            // DSA writes bypass the caches like NT stores.
+            write.cmd = MemCmd::NtWrite;
+            write.source = source;
+            write.onComplete = [this, engine, len](Tick t) {
+                chunkWritten(engine, len, t);
             };
-            src_dev.access(std::move(read));
-        }
-    };
-    st->pump();
+            dst_dev.access(std::move(write));
+        };
+        src_dev.access(std::move(read));
+    }
+}
+
+void
+Dsa::chunkWritten(std::uint32_t engine, std::uint32_t len, Tick t)
+{
+    Stream &st = streams_[engine];
+    --st.inFlight;
+    st.written += len;
+    bytesCopied_ += len;
+    if (st.written < st.descs[st.idx].bytes) {
+        pump(engine);
+        return;
+    }
+    // Descriptor finished.
+    if (st.idx + 1 < st.descs.size()) {
+        ++st.idx;
+        st.cursor = 0;
+        st.written = 0;
+        pump(engine);
+        return;
+    }
+    // Job finished: completion record + free the PE.
+    const Tick done = t + params_.completionLatency;
+    if (st.onComplete) {
+        eq_.schedule(done,
+                     [cb = std::move(st.onComplete), done] { cb(done); });
+    }
+    CXLMEMO_ASSERT(wqOccupancy_ > 0, "WQ underflow");
+    --wqOccupancy_;
+    if (station_) {
+        station_->exitNow(eq_.curTick());
+        // An engine is genuinely serial per job: its whole service
+        // time is busy occupancy.
+        station_->account(0, eq_.curTick() - st.dispatched,
+                          eq_.curTick() - st.dispatched, false,
+                          eq_.curTick());
+    }
+    st.busy = false;
+    tryDispatch();
 }
 
 } // namespace cxlmemo

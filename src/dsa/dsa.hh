@@ -112,15 +112,35 @@ class Dsa
         Tick submitted = 0;
     };
 
+    /** Streaming state of the job an engine is running. An engine
+     *  runs one job at a time, so the Dsa owns one per engine and the
+     *  chunk callbacks name it by engine index: a job still in flight
+     *  when the Dsa is destroyed owns nothing. */
+    struct Stream
+    {
+        std::vector<DsaDescriptor> descs;
+        Done onComplete;
+        std::size_t idx = 0;
+        std::uint64_t cursor = 0;  //!< next byte to read
+        std::uint64_t written = 0; //!< bytes fully written
+        std::uint32_t inFlight = 0;
+        Tick dispatched = 0; //!< engine grab time (latency accounting)
+        bool busy = false;
+    };
+
     void tryDispatch();
     void runJob(std::uint32_t engine, Job job);
+    /** Issue chunks of the engine's current descriptor up to its
+     *  in-flight window. */
+    void pump(std::uint32_t engine);
+    void chunkWritten(std::uint32_t engine, std::uint32_t len, Tick t);
 
     EventQueue &eq_;
     NumaSpace &numa_;
     DsaParams params_;
     std::deque<Job> wq_;
     std::uint32_t wqOccupancy_ = 0;
-    std::vector<bool> engineBusy_;
+    std::vector<Stream> streams_;
     std::uint64_t bytesCopied_ = 0;
     AccountedStation *station_ = nullptr;
 };

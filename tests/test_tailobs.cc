@@ -378,6 +378,25 @@ TEST(MachineTailObs, CapturesEveryDemandReadWithExactStacks)
                                                    lats.end())));
 }
 
+TEST(MachineTailObs, DeeperCaptureHoldsMoreOfTheSamePopulation)
+{
+    auto run = [](std::uint32_t k) {
+        memo::Options opts;
+        opts.obs.tailK = k;
+        TailSummary sum;
+        opts.onMachineDone = [&sum](Machine &m) {
+            sum = m.tailCapture()->summary();
+        };
+        memo::runLoadedLatency(memo::Target::Cxl, 8, opts);
+        return sum;
+    };
+    const TailSummary k8 = run(8);
+    const TailSummary k64 = run(64);
+    EXPECT_GE(k64.held, k8.held);
+    EXPECT_EQ(k64.considered, k8.considered);
+    EXPECT_DOUBLE_EQ(k64.worstNs, k8.worstNs);
+}
+
 TEST(MachineTailObs, SamplingOffByDefaultWhenOnlyTailArmed)
 {
     memo::Options opts;
