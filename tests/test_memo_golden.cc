@@ -545,6 +545,30 @@ TEST(MemoGolden, TraceAndMetricsFiles)
     std::remove(metrics.c_str());
 }
 
+// The pool's files: one track per host plus the fabric and tail
+// tracks, and the fabric metrics timeline. At a 1000 ns interval the
+// last snapshot lands on the run's natural end tick, so stdout is
+// the dark pool_obs_csv golden.
+TEST(MemoGolden, PoolTraceAndMetricsFiles)
+{
+    const std::string stem = ::testing::TempDir() + "memo_golden_pool_"
+                             + std::to_string(::getpid());
+    const std::string trace = stem + ".trace.json";
+    const std::string metrics = stem + ".metrics.csv";
+    checkCase("pool_obs_csv",
+              plus(kPoolObs, {"--trace-out", trace, "--trace-sample",
+                              "256", "--metrics-out", metrics,
+                              "--metrics-interval-ns", "1000"}));
+    std::string text;
+    ASSERT_TRUE(readFile(trace, text)) << trace;
+    expectGolden("pool_traced.trace.json", text);
+    text.clear();
+    ASSERT_TRUE(readFile(metrics, text)) << metrics;
+    expectGolden("pool_traced.metrics.csv", text);
+    std::remove(trace.c_str());
+    std::remove(metrics.c_str());
+}
+
 } // namespace
 } // namespace memo
 } // namespace cxlmemo
