@@ -106,7 +106,7 @@ part(const Row &r)
         return r.p.qos;
     else if constexpr (std::is_same_v<S, TailSummary>)
         return r.p.tail;
-    else if constexpr (std::is_same_v<S, AttribSnapshot>)
+    else if constexpr (std::is_base_of_v<S, AttribSnapshot>)
         return r.p.attrib;
     else if constexpr (std::is_same_v<S, HostReport>)
         return *r.p.host;
@@ -257,7 +257,7 @@ attribTier()
         std::vector<Column> &cols = tier.columns;
         for (std::size_t i = 0; i < numStations; ++i) {
             const auto id = static_cast<StationId>(i);
-            const std::string c = "attrib_" + stationColumn(id);
+            const std::string c = "attrib_" + stationColumn(stationName(id));
             cols.push_back(col(c + "_q_ns", [id](const Row &r) {
                 return r.p.attrib.componentQueueNs(id);
             }, 2));
@@ -336,7 +336,7 @@ fabricTier()
         std::vector<Column> &cols = tier.columns;
         for (std::size_t i = 0; i < numFabricStations; ++i) {
             const auto id = static_cast<FabricStation>(i);
-            const std::string c = fabricStationColumn(id);
+            const std::string c = stationColumn(fabricStationName(id));
             cols.push_back(col(c + "_q_ns", [=](const Row &r) {
                 return port(r).componentQueueNs(id);
             }, 2));
@@ -344,7 +344,7 @@ fabricTier()
                 return port(r).componentServiceNs(id);
             }, 2));
             cols.push_back(col(c + "_util", [=](const Row &r) {
-                return port(r).util(id, elapsed(r));
+                return port(r).at(id).util(elapsed(r));
             }, 4));
         }
         cols.push_back(col("fabric_reqs", [=](const Row &r) {

@@ -204,7 +204,7 @@ diffRuns(const std::string &csvA, const std::string &csvB,
         totalCol = "attrib_total_ns";
         for (std::size_t i = 0; i < numStations; ++i) {
             const auto id = static_cast<StationId>(i);
-            const std::string c = stationColumn(id);
+            const std::string c = stationColumn(stationName(id));
             stack.push_back({stationName(id), "attrib_" + c + "_q_ns",
                              "attrib_" + c + "_s_ns"});
         }
@@ -212,7 +212,7 @@ diffRuns(const std::string &csvA, const std::string &csvB,
         totalCol = "fabric_total_ns";
         for (std::size_t i = 0; i < numFabricStations; ++i) {
             const auto id = static_cast<FabricStation>(i);
-            const std::string c = fabricStationColumn(id);
+            const std::string c = stationColumn(fabricStationName(id));
             stack.push_back(
                 {fabricStationName(id), c + "_q_ns", c + "_s_ns"});
         }

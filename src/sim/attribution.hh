@@ -34,6 +34,7 @@
 #ifndef CXLMEMO_SIM_ATTRIBUTION_HH
 #define CXLMEMO_SIM_ATTRIBUTION_HH
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -67,8 +68,11 @@ constexpr std::size_t numStations =
 /** Short dotted station name used in reports and CSV columns. */
 const char *stationName(StationId id);
 
-/** Same name with '.' replaced by '_' (CSV column fragments). */
-std::string stationColumn(StationId id);
+/** A dotted station name (host or fabric) with '.' replaced by '_'
+ *  (CSV column fragments). */
+std::string stationColumn(const char *name);
+
+struct StationSnap;
 
 /**
  * One queue/server pair on the request path. All mutators are O(1)
@@ -190,9 +194,12 @@ struct AccountedStation
     /** Zero the accumulators (not the live occupancy) and restart the
      *  occupancy integral at @p now. */
     void reset(Tick now);
+
+    /** The accumulators as of @p now, occupancy integral included. */
+    StationSnap snap(Tick now) const;
 };
 
-/** Immutable per-station roll-up inside an AttribSnapshot. */
+/** Immutable per-station roll-up: one element of a StationStack. */
 struct StationSnap
 {
     std::uint32_t servers = 1;
@@ -208,68 +215,144 @@ struct StationSnap
 
     /** Exact, associative merge (integer sums; servers/buffer kept). */
     void merge(const StationSnap &o);
+
+    /* ---- figures over a window of @p elapsed ticks (all traffic) ---- */
+
+    double util(Tick elapsed) const;
+    double avgOccupancy(Tick elapsed) const;
+    /** Completions per nanosecond. */
+    double throughputPerNs(Tick elapsed) const;
+    double avgResidencyNs() const;
+    /** Relative |L - lambda*W| deviation (0 when idle). */
+    double littleDeviation(Tick elapsed) const;
+    /** Queueing share of the residency: q / (q + s). */
+    double queueShare() const;
 };
 
 /**
- * A sweep point's attribution roll-up: per-station accumulators over
- * a measurement window plus the end-to-end demand-read bracket.
- * Derived figures (utilization, latency stack, Little's-law check,
- * bottleneck verdict) are computed on demand from the integer sums,
- * so merging snapshots and then deriving equals deriving from the
- * merged sums.
+ * A latency stack over one station set -- the host's StationId
+ * stations or one switch port's FabricStation stations: per-station
+ * roll-ups plus the end-to-end bracket they decompose. Every derived
+ * figure is computed on demand from the integer sums, so merging
+ * stacks and then deriving equals deriving from the merged sums.
+ * Figures that need the window length take it as a parameter (a
+ * cross-port roll-up shares its snapshot's window).
  */
-struct AttribSnapshot
+template <typename Id>
+struct StationStack
 {
-    Tick elapsed = 0;              //!< measurement-window length
-    std::uint64_t reqCount = 0;    //!< bracketed demand reads retired
-    std::uint64_t totalTicks = 0;  //!< their summed end-to-end latency
+    static constexpr std::size_t size =
+        static_cast<std::size_t>(Id::NumStations);
+
+    std::uint64_t reqCount = 0;   //!< bracketed requests (incl. live)
+    std::uint64_t totalTicks = 0; //!< their summed end-to-end latency
+    std::array<StationSnap, size> st{};
+
+    const StationSnap &
+    at(Id id) const
+    {
+        return st[static_cast<std::size_t>(id)];
+    }
+
+    /** Exact, associative merge (integer sums only). */
+    void
+    merge(const StationStack &o)
+    {
+        reqCount += o.reqCount;
+        totalTicks += o.totalTicks;
+        for (std::size_t i = 0; i < size; ++i)
+            st[i].merge(o.st[i]);
+    }
+
+    /** Sum of per-station stack contributions, in ticks. */
+    std::uint64_t
+    stackTicks() const
+    {
+        std::uint64_t sum = 0;
+        for (const auto &s : st)
+            sum += s.stackQueueTicks + s.stackServiceTicks;
+        return sum;
+    }
+
+    /** Residual "other" bucket: totalTicks - stackTicks(). */
+    std::uint64_t
+    otherTicks() const
+    {
+        const std::uint64_t stack = stackTicks();
+        return totalTicks >= stack ? totalTicks - stack : 0;
+    }
+
+    /** true iff stackTicks() <= totalTicks (residual >= 0), i.e. the
+     *  stack reconstructs the measured total exactly. */
+    bool decompositionExact() const { return stackTicks() <= totalTicks; }
+
+    double avgTotalNs() const { return perRequestNs(totalTicks); }
+
+    double
+    componentQueueNs(Id id) const
+    {
+        return perRequestNs(at(id).stackQueueTicks);
+    }
+
+    double
+    componentServiceNs(Id id) const
+    {
+        return perRequestNs(at(id).stackServiceTicks);
+    }
+
+    double otherNs() const { return perRequestNs(otherTicks()); }
+
+    /** true iff every active station except @p exempt satisfies
+     *  Little's law within @p tol relative deviation. */
+    bool
+    littleOk(Tick elapsed, double tol = 0.05,
+             Id exempt = Id::NumStations) const
+    {
+        for (std::size_t i = 0; i < size; ++i)
+            if (static_cast<Id>(i) != exempt
+                && st[i].littleDeviation(elapsed) > tol)
+                return false;
+        return true;
+    }
+
+    /** @p ticks averaged over the bracketed requests, in ns. */
+    double
+    perRequestNs(std::uint64_t ticks) const
+    {
+        if (reqCount == 0)
+            return 0.0;
+        return nsFromTicks(ticks) / static_cast<double>(reqCount);
+    }
+};
+
+/**
+ * A sweep point's attribution roll-up: the host station stack over a
+ * measurement window plus the device traffic mix the bottleneck
+ * verdict keys on.
+ */
+struct AttribSnapshot : StationStack<StationId>
+{
+    Tick elapsed = 0; //!< measurement-window length
     /** Device-level traffic mix (fed by the CXL controller): decides
      *  whether the bottleneck verdict follows the read path or the
      *  posted-write acknowledgement path. */
     std::uint64_t devReads = 0;
     std::uint64_t devWrites = 0;
-    std::array<StationSnap, numStations> st{};
-
-    const StationSnap &
-    at(StationId id) const
-    {
-        return st[static_cast<std::size_t>(id)];
-    }
 
     /** Exact, associative merge (elapsed and all sums add). */
     void merge(const AttribSnapshot &o);
 
-    /* ---- latency stack (bracketed demand reads) ---- */
+    double util(StationId id) const { return at(id).util(elapsed); }
 
-    /** Sum of per-station stack contributions, in ticks. */
-    std::uint64_t stackTicks() const;
-
-    /** Residual "other" bucket: totalTicks - stackTicks(). */
-    std::uint64_t otherTicks() const;
-
-    /** true iff stackTicks() <= totalTicks (residual >= 0), i.e. the
-     *  stack reconstructs the measured total exactly. */
-    bool decompositionExact() const;
-
-    double avgTotalNs() const;
-    double componentQueueNs(StationId id) const;
-    double componentServiceNs(StationId id) const;
-    double otherNs() const;
-
-    /* ---- per-station figures (all traffic) ---- */
-
-    double util(StationId id) const;
-    double avgOccupancy(StationId id) const;
-    /** Completions per nanosecond. */
-    double throughputPerNs(StationId id) const;
-    double avgResidencyNs(StationId id) const;
-    /** Relative |L - lambda*W| deviation (0 when idle). */
-    double littleDeviation(StationId id) const;
-    /** true iff every active station satisfies Little's law within
-     *  @p tol relative deviation. */
-    bool littleOk(double tol = 0.05) const;
-    /** Queueing share of a station's residency: q / (q + s). */
-    double queueShare(StationId id) const;
+    /** Little's law on every station but core.lfb, whose occupancy
+     *  transitions are stamped with per-thread local clocks that are
+     *  not mutually monotonic -- its L = lambda*W is approximate and
+     *  only reported, not enforced. */
+    bool
+    littleOk(double tol = 0.05) const
+    {
+        return StationStack::littleOk(elapsed, tol, StationId::CoreLfb);
+    }
 
     /* ---- bottleneck verdict ---- */
 
@@ -309,32 +392,46 @@ struct AttribSnapshot
 };
 
 /**
- * Per-machine registry of stations plus the end-to-end bracket.
- * Constructed only when attribution is enabled; every instrumentation
- * site holds a pointer that is null otherwise.
+ * The live side of a StationStack: one AccountedStation per Id plus
+ * the end-to-end bracket. A machine owns one (AttributionBoard); the
+ * fabric owns one per switch port (FabricBoard). Constructed only
+ * when attribution is enabled; every instrumentation site holds a
+ * pointer that is null otherwise.
  */
-class AttributionBoard
+template <typename Id>
+class StationBoard
 {
   public:
-    explicit AttributionBoard(Tick now = 0);
+    static constexpr std::size_t size = StationStack<Id>::size;
+
+    explicit StationBoard(Tick now = 0)
+    {
+        for (auto &s : st_)
+            s.lastOcc = now;
+    }
 
     AccountedStation &
-    station(StationId id)
+    station(Id id)
     {
         return st_[static_cast<std::size_t>(id)];
     }
 
     const AccountedStation &
-    station(StationId id) const
+    station(Id id) const
     {
         return st_[static_cast<std::size_t>(id)];
     }
 
     /** Configure a station's utilization denominator. */
-    void setServers(StationId id, std::uint32_t servers,
-                    bool buffer = false);
+    void
+    setServers(Id id, std::uint32_t servers, bool buffer = false)
+    {
+        AccountedStation &s = station(id);
+        s.servers = std::max<std::uint32_t>(servers, 1);
+        s.buffer = buffer;
+    }
 
-    /** A bracketed demand read issued at @p t0. Every begin must be
+    /** A bracketed request issued at @p t0. Every begin must be
      *  matched by completeRequest(t0, ...): in-flight brackets are
      *  charged into the snapshot up to the accounting horizon, which
      *  is what keeps the latency stack bounded by the measured total
@@ -346,7 +443,7 @@ class AttributionBoard
         liveStartSum_ += t0;
     }
 
-    /** The bracketed demand read begun at @p t0 retired at @p t. */
+    /** The bracketed request begun at @p t0 retired at @p t. */
     void
     completeRequest(Tick t0, Tick t)
     {
@@ -354,6 +451,60 @@ class AttributionBoard
         liveStartSum_ -= t0;
         ++reqCount_;
         totalTicks_ += t - t0;
+    }
+
+    /** Zero the accumulators and restart the occupancy integrals at
+     *  @p now. Live brackets deliberately survive: brackets opened
+     *  before the window retire with their true start, so their stack
+     *  contributions inside the window stay covered by their totals. */
+    void
+    reset(Tick now)
+    {
+        reqCount_ = 0;
+        totalTicks_ = 0;
+        for (auto &s : st_)
+            s.reset(now);
+    }
+
+    /** Roll up the stations and the bracket at @p now. */
+    StationStack<Id>
+    snapshot(Tick now) const
+    {
+        StationStack<Id> out;
+        out.reqCount = reqCount_;
+        out.totalTicks = totalTicks_;
+        // In-flight brackets are charged up to the accounting
+        // horizon: the latest end of any accounted interval (which
+        // can lie past @p now -- scheduled dispatches, core-local
+        // clocks running ahead). Every live bracket's accounted
+        // intervals fit inside [its start, horizon], so stack <=
+        // total holds mid-flight.
+        Tick horizon = now;
+        for (std::size_t i = 0; i < size; ++i) {
+            out.st[i] = st_[i].snap(now);
+            horizon = std::max(horizon, st_[i].intervalEnd);
+        }
+        out.reqCount += liveCount_;
+        out.totalTicks += liveCount_ * horizon - liveStartSum_;
+        return out;
+    }
+
+  private:
+    std::array<AccountedStation, size> st_{};
+    std::uint64_t reqCount_ = 0;
+    std::uint64_t totalTicks_ = 0;
+    std::uint64_t liveCount_ = 0;    //!< brackets begun, not retired
+    std::uint64_t liveStartSum_ = 0; //!< sum of their start ticks
+};
+
+/** The machine's board: the host stations plus the device traffic
+ *  mix and the measurement window (Machine::resetStats restarts it). */
+class AttributionBoard : public StationBoard<StationId>
+{
+  public:
+    explicit AttributionBoard(Tick now = 0)
+        : StationBoard(now), windowStart_(now)
+    {
     }
 
     /** A request arrived at the (CXL) device controller; feeds the
@@ -367,20 +518,13 @@ class AttributionBoard
             ++devReads_;
     }
 
-    /** Restart the measurement window at @p now (Machine::resetStats). */
+    /** Restart the measurement window at @p now. */
     void beginWindow(Tick now);
 
     /** Roll up the window ending at @p now. */
     AttribSnapshot snapshot(Tick now) const;
 
-    Tick windowStart() const { return windowStart_; }
-
   private:
-    std::array<AccountedStation, numStations> st_{};
-    std::uint64_t reqCount_ = 0;
-    std::uint64_t totalTicks_ = 0;
-    std::uint64_t liveCount_ = 0;    //!< brackets begun, not retired
-    std::uint64_t liveStartSum_ = 0; //!< sum of their start ticks
     std::uint64_t devReads_ = 0;
     std::uint64_t devWrites_ = 0;
     Tick windowStart_ = 0;

@@ -36,7 +36,6 @@
 #ifndef CXLMEMO_SIM_FABRIC_ATTRIB_HH
 #define CXLMEMO_SIM_FABRIC_ATTRIB_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -65,51 +64,9 @@ constexpr std::size_t numFabricStations =
 /** Dotted station name used in reports ("sw.voq_wait"). */
 const char *fabricStationName(FabricStation id);
 
-/** Same name with dots as underscores (CSV column fragments). */
-std::string fabricStationColumn(FabricStation id);
-
-/**
- * One port's attribution roll-up: the five station snapshots plus the
- * end-to-end bracket over every request the port carried. Merging is
- * exact and associative; derived figures that need the window length
- * take it as a parameter (the owning FabricSnapshot holds it, so a
- * cross-port roll-up shares one elapsed).
- */
-struct FabricPortSnap
-{
-    std::uint64_t reqCount = 0;   //!< bracketed requests (incl. live)
-    std::uint64_t totalTicks = 0; //!< summed end-to-end latency
-    std::array<StationSnap, numFabricStations> st{};
-
-    const StationSnap &
-    at(FabricStation id) const
-    {
-        return st[static_cast<std::size_t>(id)];
-    }
-
-    /** Exact, associative merge (integer sums only). */
-    void merge(const FabricPortSnap &o);
-
-    /* ---- latency stack ---- */
-
-    std::uint64_t stackTicks() const;
-    std::uint64_t otherTicks() const;
-    /** true iff stackTicks() <= totalTicks (residual >= 0). */
-    bool decompositionExact() const;
-    double avgTotalNs() const;
-    double componentQueueNs(FabricStation id) const;
-    double componentServiceNs(FabricStation id) const;
-    double otherNs() const;
-
-    /* ---- per-station figures (window length supplied) ---- */
-
-    double util(FabricStation id, Tick elapsed) const;
-    double avgOccupancy(FabricStation id, Tick elapsed) const;
-    double throughputPerNs(FabricStation id, Tick elapsed) const;
-    double avgResidencyNs(FabricStation id) const;
-    double littleDeviation(FabricStation id, Tick elapsed) const;
-    bool littleOk(Tick elapsed, double tol = 0.05) const;
-};
+/** One port's attribution roll-up: the five switch stations plus the
+ *  end-to-end bracket over every request the port carried. */
+using FabricPortSnap = StationStack<FabricStation>;
 
 /**
  * The fabric's attribution roll-up: one FabricPortSnap per switch
@@ -163,10 +120,10 @@ struct FabricSnapshot
 };
 
 /**
- * Per-cluster registry: five AccountedStations per switch port plus a
- * per-port end-to-end bracket. Constructed only when fabric
- * attribution is enabled; the switch holds a pointer that is null
- * otherwise. All mutation happens on the fabric event domain.
+ * Per-cluster registry: one StationBoard of the five switch stations
+ * per port. Constructed only when fabric attribution is enabled; the
+ * switch holds a pointer that is null otherwise. All mutation happens
+ * on the fabric event domain.
  */
 class FabricBoard
 {
@@ -185,46 +142,29 @@ class FabricBoard
     AccountedStation &
     station(std::uint32_t port, FabricStation id)
     {
-        return ports_[port].st[static_cast<std::size_t>(id)];
+        return ports_[port].station(id);
     }
 
     /** A request entered the fabric at @p port, issued at @p t0 on the
-     *  host. Every begin is matched by completeRequest(); in-flight
-     *  brackets are charged up to the accounting horizon exactly like
-     *  AttributionBoard, keeping stack <= total mid-flight. */
+     *  host; matched by completeRequest() (StationBoard bracket). */
     void
     beginRequest(std::uint32_t port, Tick t0)
     {
-        PortBoard &p = ports_[port];
-        ++p.liveCount;
-        p.liveStartSum += t0;
+        ports_[port].beginRequest(t0);
     }
 
     /** The request begun at @p t0 was delivered back at @p t. */
     void
     completeRequest(std::uint32_t port, Tick t0, Tick t)
     {
-        PortBoard &p = ports_[port];
-        --p.liveCount;
-        p.liveStartSum -= t0;
-        ++p.reqCount;
-        p.totalTicks += t - t0;
+        ports_[port].completeRequest(t0, t);
     }
 
     /** Roll up the window ending at @p now. */
     FabricSnapshot snapshot(Tick now) const;
 
   private:
-    struct PortBoard
-    {
-        std::array<AccountedStation, numFabricStations> st{};
-        std::uint64_t reqCount = 0;
-        std::uint64_t totalTicks = 0;
-        std::uint64_t liveCount = 0;
-        std::uint64_t liveStartSum = 0;
-    };
-
-    std::vector<PortBoard> ports_;
+    std::vector<StationBoard<FabricStation>> ports_;
     Tick windowStart_ = 0;
 };
 
