@@ -267,49 +267,15 @@ TailCapture::table() const
     return out;
 }
 
-namespace
-{
-
 void
-appendTailEvent(std::string &out, bool &first, const std::string &name,
-                int pid, Tick ts, Tick dur, const TailSpan &span,
-                const char *stage)
-{
-    if (!first)
-        out += ",\n";
-    first = false;
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.6f,"
-                  "\"dur\":%.6f,\"pid\":%d,\"tid\":%u,"
-                  "\"args\":{\"id\":%llu,\"addr\":%llu,\"stage\":\"%s\"}}",
-                  name.c_str(), static_cast<double>(ts) / 1e6,
-                  static_cast<double>(dur) / 1e6, pid,
-                  static_cast<unsigned>(TailCapture::kTailTid),
-                  static_cast<unsigned long long>(span.id),
-                  static_cast<unsigned long long>(span.addr), stage);
-    out += buf;
-}
-
-} // namespace
-
-void
-TailCapture::appendTraceEvents(std::string &out, int pid,
-                               bool &first) const
+TailCapture::appendTraceEvents(std::string &out, int pid, bool &first,
+                               std::uint64_t idBase) const
 {
     for (const TailSpan *s : worstFirst()) {
-        appendTailEvent(out, first,
-                        std::string("tail:") + tailRegimeName(s->regime),
-                        pid, s->start, s->latency(), *s, "tail");
-        for (std::size_t i = 0; i < s->marks.size(); ++i) {
-            const StageMark &m = s->marks[i];
-            const Tick until = i + 1 < s->marks.size()
-                                   ? s->marks[i + 1].at
-                                   : s->end;
-            appendTailEvent(out, first, traceStageName(m.stage), pid,
-                            m.at, until > m.at ? until - m.at : 0, *s,
-                            traceStageName(m.stage));
-        }
+        const std::string name =
+            std::string("tail:") + tailRegimeName(s->regime);
+        appendSpanEvents(out, first, *s, name.c_str(), "tail", pid,
+                         kTailTid, idBase, pid);
     }
 }
 

@@ -62,16 +62,9 @@ constexpr std::size_t numTailRegimes =
 const char *tailRegimeName(TailRegime r);
 
 /** One retained outlier: the span's identity plus its full bracket. */
-struct TailSpan
+struct TailSpan : SpanRecord
 {
-    std::uint64_t id = 0;
-    std::uint16_t source = 0;
-    MemCmd cmd = MemCmd::Read;
-    Addr addr = 0;
-    Tick start = 0;
-    Tick end = 0;
     TailRegime regime = TailRegime::Local;
-    std::vector<StageMark> marks;
 
     Tick latency() const { return end - start; }
 };
@@ -141,12 +134,13 @@ class TailCapture
     std::string table() const;
 
     /**
-     * Append the retained outliers as Chrome trace events on a
-     * dedicated "tail" track (tid = kTailTid): one parent slice per
-     * outlier named tail:<regime>, one child slice per stage.
-     * Same comma/first protocol as RequestTracer::appendTraceEvents.
+     * Append the retained outliers with appendSpanEvents() on a
+     * dedicated "tail" track (tid = kTailTid, every stage on @p pid):
+     * one parent slice per outlier named tail:<regime>, one child
+     * slice per stage; span ids offset by @p idBase.
      */
-    void appendTraceEvents(std::string &out, int pid, bool &first) const;
+    void appendTraceEvents(std::string &out, int pid, bool &first,
+                           std::uint64_t idBase = 0) const;
 
     /** Thread row the tail track uses in exported traces. */
     static constexpr std::uint16_t kTailTid = 999;

@@ -1,6 +1,7 @@
 #include "sim/trace.hh"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "sim/logging.hh"
 #include "sim/tailcap.hh"
@@ -34,9 +35,23 @@ traceStageName(TraceStage s)
     return "?";
 }
 
-RequestTracer::RequestTracer(std::uint64_t sampleEvery, std::size_t ringCap)
+RequestTracer::RequestTracer(std::uint64_t sampleEvery, std::size_t ringCap,
+                             std::uint32_t tailK)
     : sampleEvery_(sampleEvery), ringCap_(ringCap)
 {
+    if (tailK > 0)
+        tail_ = std::make_unique<TailCapture>(tailK);
+}
+
+RequestTracer::~RequestTracer() = default;
+
+std::unique_ptr<RequestTracer>
+RequestTracer::fromOptions(const ObservabilityOptions &obs)
+{
+    if (obs.traceSampleEvery == 0 && obs.tailK == 0)
+        return nullptr;
+    return std::make_unique<RequestTracer>(obs.traceSampleEvery,
+                                           obs.traceRing, obs.tailK);
 }
 
 TraceSpan *
@@ -123,48 +138,64 @@ RequestTracer::finish(TraceSpan *span, Tick at)
 namespace
 {
 
-/** One Chrome complete ("X") event; ts/dur in microseconds. */
+/** One Chrome complete ("X") event. ts/dur are microseconds with 6
+ *  decimals, i.e. the raw tick count split at 10^6 -- formatted in
+ *  integer arithmetic because %.6f is the dominant cost of exporting
+ *  a large trace (one export can carry tens of thousands of events). */
 void
 appendEvent(std::string &out, bool &first, const char *name, int pid,
-            std::uint16_t tid, Tick ts, Tick dur, const TraceSpan &span,
+            unsigned tid, Tick ts, Tick dur, std::uint64_t id, Addr addr,
             const char *stage)
 {
     if (!first)
         out += ",\n";
     first = false;
     char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.6f,"
-                  "\"dur\":%.6f,\"pid\":%d,\"tid\":%u,"
-                  "\"args\":{\"id\":%llu,\"addr\":%llu,\"stage\":\"%s\"}}",
-                  name, static_cast<double>(ts) / 1e6,
-                  static_cast<double>(dur) / 1e6, pid,
-                  static_cast<unsigned>(tid),
-                  static_cast<unsigned long long>(span.id),
-                  static_cast<unsigned long long>(span.addr), stage);
+    std::snprintf(
+        buf, sizeof(buf),
+        "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%llu.%06llu,"
+        "\"dur\":%llu.%06llu,\"pid\":%d,\"tid\":%u,"
+        "\"args\":{\"id\":%llu,\"addr\":%llu,\"stage\":\"%s\"}}",
+        name, static_cast<unsigned long long>(ts / 1000000),
+        static_cast<unsigned long long>(ts % 1000000),
+        static_cast<unsigned long long>(dur / 1000000),
+        static_cast<unsigned long long>(dur % 1000000), pid, tid,
+        static_cast<unsigned long long>(id),
+        static_cast<unsigned long long>(addr), stage);
     out += buf;
 }
 
 } // namespace
 
 void
-RequestTracer::appendTraceEvents(std::string &out, int pid,
-                                 bool &first) const
+appendSpanEvents(std::string &out, bool &first, const SpanRecord &span,
+                 const char *name, const char *kind, int pid,
+                 unsigned tid, std::uint64_t idBase, int fabricPid)
 {
-    for (const TraceSpan &span : completed_) {
-        appendEvent(out, first, memCmdName(span.cmd), pid, span.source,
-                    span.start, span.end - span.start, span, "span");
-        for (std::size_t i = 0; i < span.marks.size(); ++i) {
-            const StageMark &m = span.marks[i];
-            const Tick until = i + 1 < span.marks.size()
-                                   ? span.marks[i + 1].at
-                                   : span.end;
-            appendEvent(out, first, traceStageName(m.stage), pid,
-                        span.source, m.at,
-                        until > m.at ? until - m.at : 0, span,
-                        traceStageName(m.stage));
-        }
+    const std::uint64_t id = idBase | span.id;
+    appendEvent(out, first, name, pid, tid, span.start,
+                span.end - span.start, id, span.addr, kind);
+    for (std::size_t i = 0; i < span.marks.size(); ++i) {
+        const StageMark &m = span.marks[i];
+        const Tick until =
+            i + 1 < span.marks.size() ? span.marks[i + 1].at : span.end;
+        const char *stage = traceStageName(m.stage);
+        appendEvent(out, first, stage,
+                    isFabricStage(m.stage) ? fabricPid : pid, tid, m.at,
+                    until > m.at ? until - m.at : 0, id, span.addr,
+                    stage);
     }
+}
+
+void
+RequestTracer::appendTraceEvents(std::string &out, int pid, bool &first,
+                                 std::uint64_t idBase,
+                                 int fabricPid) const
+{
+    for (const TraceSpan &span : completed_)
+        appendSpanEvents(out, first, span, memCmdName(span.cmd), "span",
+                         pid, span.source, idBase,
+                         fabricPid < 0 ? pid : fabricPid);
 }
 
 namespace

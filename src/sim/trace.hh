@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "mem/request.hh"
+#include "sim/observability.hh"
 #include "sim/types.hh"
 
 namespace cxlmemo
@@ -86,8 +87,8 @@ struct StageMark
     Tick at;
 };
 
-/** The recorded lifecycle of one sampled request. */
-struct TraceSpan
+/** What every recorded request carries: identity plus stage marks. */
+struct SpanRecord
 {
     std::uint64_t id = 0;
     std::uint16_t source = 0;
@@ -96,6 +97,11 @@ struct TraceSpan
     Tick start = 0;
     Tick end = 0;
     std::vector<StageMark> marks;
+};
+
+/** The recorded lifecycle of one sampled request. */
+struct TraceSpan : SpanRecord
+{
     /** 1-in-N sampled (exported + ringed); tail-only spans are
      *  considered for worst-K capture and then recycled. */
     bool sampled = true;
@@ -105,6 +111,21 @@ struct TraceSpan
     std::uint32_t openIdx = 0;
 };
 
+/**
+ * Append @p span as Chrome trace-event JSON objects (comma-separated,
+ * no surrounding array) to @p out: a parent "X" slice named @p name
+ * (args.stage = @p kind) plus one child slice per stage mark, lasting
+ * until the next mark (span end for the last). ts/dur are
+ * microseconds; the slices sit on process @p pid, thread @p tid,
+ * except that fabric stages go to @p fabricPid; args.id is
+ * @p idBase | span.id. @p first tracks whether a comma is needed
+ * before the next event.
+ */
+void appendSpanEvents(std::string &out, bool &first,
+                      const SpanRecord &span, const char *name,
+                      const char *kind, int pid, unsigned tid,
+                      std::uint64_t idBase, int fabricPid);
+
 class TailCapture;
 
 class RequestTracer
@@ -112,10 +133,23 @@ class RequestTracer
   public:
     /**
      * @param sampleEvery trace every Nth request (0 disables);
-     * @param ringCap completed spans kept for the post-mortem ring.
+     * @param ringCap completed spans kept for the post-mortem ring;
+     * @param tailK worst-K tail capture depth (0 disables). Armed,
+     *        maybeStart() returns a span for *every* demand read (not
+     *        just the sampled 1-in-N), and finish() offers each
+     *        completed read to the capture. Tail-only spans never
+     *        reach the export set or the ring; they are recycled
+     *        through a free list, so steady state allocates nothing.
      */
     explicit RequestTracer(std::uint64_t sampleEvery,
-                           std::size_t ringCap = 32);
+                           std::size_t ringCap = 32,
+                           std::uint32_t tailK = 0);
+    ~RequestTracer();
+
+    /** The tracer @p obs asks for: null unless sampled tracing or
+     *  tail capture is on. */
+    static std::unique_ptr<RequestTracer>
+    fromOptions(const ObservabilityOptions &obs);
 
     /**
      * Called at every request issue. Returns a stable span pointer for
@@ -136,16 +170,8 @@ class RequestTracer
     /** Complete the span: moves it to the export set and the ring. */
     void finish(TraceSpan *span, Tick at);
 
-    /**
-     * Arm worst-K tail mode: maybeStart() returns a span for *every*
-     * demand read (not just the sampled 1-in-N), and finish() offers
-     * each completed read to @p tc. Tail-only spans never reach the
-     * export set or the ring; they are recycled through a free list,
-     * so steady state allocates nothing.
-     */
-    void setTailCapture(TailCapture *tc) { tail_ = tc; }
-
-    TailCapture *tailCapture() const { return tail_; }
+    /** Worst-K tail capture (nullptr unless tailK > 0). */
+    TailCapture *tailCapture() const { return tail_.get(); }
 
     std::uint64_t sampleEvery() const { return sampleEvery_; }
     std::uint64_t seen() const { return seen_; }
@@ -155,20 +181,19 @@ class RequestTracer
 
     const std::deque<TraceSpan> &ring() const { return ring_; }
 
-    /** Completed spans retained for export, in completion order.
-     *  Custom exporters (the Cluster's per-host + fabric-track JSON)
-     *  walk this instead of appendTraceEvents(). */
+    /** Completed spans retained for export, in completion order. */
     const std::vector<TraceSpan> &completed() const { return completed_; }
 
     /**
-     * Append this tracer's completed spans as Chrome trace-event JSON
-     * objects (comma-separated; no surrounding array) to @p out. Each
-     * span becomes a parent "X" slice plus one child slice per stage;
-     * ts/dur are microseconds, tid is the issuing source, @p pid
-     * distinguishes machines (sweep points) in a merged trace.
-     * @p first tracks whether a comma is needed before the next event.
+     * Append this tracer's completed spans with appendSpanEvents():
+     * parent slices named after the command, tid the issuing source,
+     * @p pid distinguishing machines (sweep points) or hosts in a
+     * merged trace. Span ids are offset by @p idBase, and fabric
+     * stages land on @p fabricPid (< 0: on @p pid).
      */
-    void appendTraceEvents(std::string &out, int pid, bool &first) const;
+    void appendTraceEvents(std::string &out, int pid, bool &first,
+                           std::uint64_t idBase = 0,
+                           int fabricPid = -1) const;
 
     /**
      * Flight-recorder dump for the watchdog: the last-N completed
@@ -186,7 +211,7 @@ class RequestTracer
     std::uint64_t dropped_ = 0;
 
     /** Worst-K tail capture (null = sampled tracing only). */
-    TailCapture *tail_ = nullptr;
+    std::unique_ptr<TailCapture> tail_;
 
     /** Spans in flight; unique_ptr keeps addresses stable. */
     std::vector<std::unique_ptr<TraceSpan>> open_;

@@ -446,16 +446,8 @@ Cluster::setupObservability()
     // span is touched by one domain at a time (host issues/finishes,
     // fabric marks in between with causal handoffs through the
     // executor) and the worst-K set is completion-order independent.
-    if (obs.traceSampleEvery > 0 || obs.tailK > 0) {
-        for (auto &H : hosts_) {
-            H.tracer = std::make_unique<RequestTracer>(
-                obs.traceSampleEvery, obs.traceRing);
-            if (obs.tailK > 0) {
-                H.tailcap = std::make_unique<TailCapture>(obs.tailK);
-                H.tracer->setTailCapture(H.tailcap.get());
-            }
-        }
-    }
+    for (auto &H : hosts_)
+        H.tracer = RequestTracer::fromOptions(obs);
     if (obs.metricsInterval > 0) {
         metrics_ = std::make_unique<MetricsRegistry>();
         registerMetrics();
@@ -483,9 +475,9 @@ Cluster::setupObservability()
             });
         }
         for (auto &H : hosts_) {
-            if (!H.tailcap)
+            TailCapture *tc = H.tracer ? H.tracer->tailCapture() : nullptr;
+            if (!tc)
                 continue;
-            TailCapture *tc = H.tailcap.get();
             const std::uint32_t h = H.id;
             watchdog_->addPostMortem([tc, h] {
                 return "  host" + std::to_string(h) + " tail:\n"
@@ -928,8 +920,8 @@ Cluster::run()
                                     H.readHist.count());
         r.readP99Ns = H.readHist.percentile(99.0);
         r.readHist = H.readHist;
-        if (H.tailcap)
-            r.tail = H.tailcap->summary();
+        if (H.tracer && H.tracer->tailCapture())
+            r.tail = H.tracer->tailCapture()->summary();
         res.hosts.push_back(std::move(r));
     }
     res.verdict = attributionVerdict();
@@ -949,16 +941,17 @@ std::string
 Cluster::exportTraceJson() const
 {
     bool any = false;
-    for (const Host &H : hosts_)
-        any = any || H.tracer != nullptr;
+    std::size_t spans = 0;
+    for (const Host &H : hosts_) {
+        if (H.tracer) {
+            any = true;
+            spans += H.tracer->completed().size();
+        }
+    }
     if (!any)
         return "";
 
     std::string out;
-    std::size_t spans = 0;
-    for (const Host &H : hosts_)
-        if (H.tracer)
-            spans += H.tracer->completed().size();
     out.reserve(spans * 9 * 140); // span + ~8 marks, ~140 B/event
     bool first = true;
     const auto meta = [&out, &first](int pid, const std::string &name) {
@@ -969,90 +962,28 @@ Cluster::exportTraceJson() const
                + std::to_string(pid) + ",\"args\":{\"name\":\"" + name
                + "\"}}";
     };
-    const auto event = [&out, &first](const char *name, int pid,
-                                      unsigned tid, Tick ts, Tick dur,
-                                      std::uint64_t id, Addr addr,
-                                      const char *stage) {
-        if (!first)
-            out += ",\n";
-        first = false;
-        char buf[256];
-        // ts/dur are microseconds with 6 decimals, i.e. the raw tick
-        // count split at 10^6 -- formatted in integer arithmetic
-        // because %.6f is the dominant cost of exporting a large
-        // trace (one export can carry tens of thousands of events).
-        std::snprintf(
-            buf, sizeof(buf),
-            "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%llu.%06llu,"
-            "\"dur\":%llu.%06llu,\"pid\":%d,\"tid\":%u,"
-            "\"args\":{\"id\":%llu,\"addr\":%llu,\"stage\":\"%s\"}}",
-            name, static_cast<unsigned long long>(ts / 1000000),
-            static_cast<unsigned long long>(ts % 1000000),
-            static_cast<unsigned long long>(dur / 1000000),
-            static_cast<unsigned long long>(dur % 1000000), pid, tid,
-            static_cast<unsigned long long>(id),
-            static_cast<unsigned long long>(addr), stage);
-        out += buf;
-    };
 
     // One track (pid) per host plus the shared fabric track: host-side
     // stages land on the issuing host's track, switch-path stages on
-    // the fabric track with the port as the thread row.
+    // the fabric track with the port as the thread row. Host-scoped
+    // span ids stay unique in the merged file.
     meta(0, "fabric");
     for (const Host &H : hosts_)
         meta(1 + static_cast<int>(H.id),
              "host" + std::to_string(H.id));
-
-    for (const Host &H : hosts_) {
-        if (!H.tracer)
-            continue;
-        const int hostPid = 1 + static_cast<int>(H.id);
-        for (const TraceSpan &span : H.tracer->completed()) {
-            // Host-scoped span ids stay unique in the merged file.
-            const std::uint64_t id =
-                (static_cast<std::uint64_t>(H.id + 1) << 32) | span.id;
-            event(memCmdName(span.cmd), hostPid, H.id, span.start,
-                  span.end - span.start, id, span.addr, "span");
-            for (std::size_t i = 0; i < span.marks.size(); ++i) {
-                const StageMark &m = span.marks[i];
-                const Tick until = i + 1 < span.marks.size()
-                                       ? span.marks[i + 1].at
-                                       : span.end;
-                const bool fab = isFabricStage(m.stage);
-                event(traceStageName(m.stage), fab ? 0 : hostPid,
-                      H.id, m.at, until > m.at ? until - m.at : 0, id,
-                      span.addr, traceStageName(m.stage));
-            }
-        }
-    }
-
-    // The worst-K outliers land on a dedicated tail track per host
-    // (tid = kTailTid), parent slice tail:<regime> plus one child per
-    // stage -- the p99 request as a clickable stack, next to the
-    // sampled spans.
-    for (const Host &H : hosts_) {
-        if (!H.tailcap)
-            continue;
-        const int hostPid = 1 + static_cast<int>(H.id);
-        for (const TailSpan *s : H.tailcap->worstFirst()) {
-            const std::uint64_t id =
-                (static_cast<std::uint64_t>(H.id + 1) << 32) | s->id;
-            const std::string parent =
-                std::string("tail:") + tailRegimeName(s->regime);
-            event(parent.c_str(), hostPid, TailCapture::kTailTid,
-                  s->start, s->latency(), id, s->addr, "tail");
-            for (std::size_t i = 0; i < s->marks.size(); ++i) {
-                const StageMark &m = s->marks[i];
-                const Tick until = i + 1 < s->marks.size()
-                                       ? s->marks[i + 1].at
-                                       : s->end;
-                event(traceStageName(m.stage), hostPid,
-                      TailCapture::kTailTid, m.at,
-                      until > m.at ? until - m.at : 0, id, s->addr,
-                      traceStageName(m.stage));
-            }
-        }
-    }
+    const auto idBase = [](const Host &H) {
+        return static_cast<std::uint64_t>(H.id + 1) << 32;
+    };
+    for (const Host &H : hosts_)
+        if (H.tracer)
+            H.tracer->appendTraceEvents(out, 1 + static_cast<int>(H.id),
+                                        first, idBase(H), 0);
+    // The worst-K outliers land on a dedicated tail track per host --
+    // the p99 request as a clickable stack, next to the sampled spans.
+    for (const Host &H : hosts_)
+        if (H.tracer && H.tracer->tailCapture())
+            H.tracer->tailCapture()->appendTraceEvents(
+                out, 1 + static_cast<int>(H.id), first, idBase(H));
     return out;
 }
 

@@ -320,11 +320,9 @@ class Cluster
         double readLatSumNs = 0.0;
         Tick lastDoneTick = 0;
         /** Per-host tracer: host-scoped span ids, deterministic
-         *  per-host sampling (null unless tracing or tail capture is
-         *  enabled). */
+         *  per-host sampling, the host's worst-K capture (null unless
+         *  tracing or tail capture is enabled). */
         std::unique_ptr<RequestTracer> tracer;
-        /** Per-host worst-K capture (null unless obs.tailK). */
-        std::unique_ptr<TailCapture> tailcap;
     };
 
     EventQueue &hostQueue(std::uint32_t host);

@@ -578,21 +578,16 @@ Machine::Machine(Testbed testbed, MachineOptions opts) : testbed_(testbed)
     // ObservabilityOptions builds none of it, cores see a null tracer
     // and the devices' histogram pointers stay null, so the disabled
     // configuration is bit-identical to a build without this layer.
-    if (opts.obs.traceSampleEvery > 0 || opts.obs.tailK > 0) {
-        tracer_ = std::make_unique<RequestTracer>(
-            opts.obs.traceSampleEvery, opts.obs.traceRing);
+    tracer_ = RequestTracer::fromOptions(opts.obs);
+    if (tracer_) {
         caches_->setTracer(tracer_.get());
-        if (opts.obs.tailK > 0) {
-            tailcap_ = std::make_unique<TailCapture>(opts.obs.tailK);
-            tracer_->setTailCapture(tailcap_.get());
-        }
         if (watchdog_ && opts.obs.traceSampleEvery > 0) {
             watchdog_->addPostMortem(
                 [this] { return tracer_->postMortem(eq_.curTick()); });
         }
-        if (watchdog_ && tailcap_) {
+        if (watchdog_ && tailCapture()) {
             watchdog_->addPostMortem(
-                [this] { return tailcap_->table(); });
+                [this] { return tailCapture()->table(); });
         }
     }
     if (opts.obs.latencyHistograms) {

@@ -211,8 +211,13 @@ class Machine
      *  since tail mode rides the tracer's span plumbing. */
     RequestTracer *tracer() { return tracer_.get(); }
 
-    /** Worst-K tail capture (nullptr when `obs.tailK` is 0). */
-    TailCapture *tailCapture() { return tailcap_.get(); }
+    /** Worst-K tail capture, owned by the tracer (nullptr when
+     *  `obs.tailK` is 0). */
+    TailCapture *
+    tailCapture()
+    {
+        return tracer_ ? tracer_->tailCapture() : nullptr;
+    }
 
     /** Interval-metrics registry (nullptr when metrics are disabled). */
     MetricsRegistry *metrics() { return metrics_.get(); }
@@ -300,7 +305,6 @@ class Machine
     std::unique_ptr<HostThrottle> throttle_;
     std::unique_ptr<Watchdog> watchdog_;
     std::unique_ptr<RequestTracer> tracer_;
-    std::unique_ptr<TailCapture> tailcap_;
     std::unique_ptr<MetricsRegistry> metrics_;
     std::unique_ptr<MetricsSampler> sampler_;
     std::unique_ptr<AttributionBoard> attrib_;
