@@ -36,6 +36,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -83,8 +84,11 @@ class EventQueue
     /** Number of events executed so far. */
     std::uint64_t eventsExecuted() const { return executed_; }
 
-    /** Number of events currently pending. */
+    /** Number of events currently pending, observer events included. */
     std::size_t pending() const { return size_; }
+
+    /** Pending observer events (scheduleObserver). */
+    std::size_t observersPending() const { return observers_; }
 
     /**
      * Schedule @p cb to run at absolute time @p when.
@@ -131,6 +135,65 @@ class EventQueue
                 + " overflows the tick counter (negative delay?)");
         }
         schedule(curTick_ + delay, std::move(cb));
+    }
+
+    /**
+     * Schedule an observer event -- a watchdog or metrics snapshot --
+     * at @p when. It runs in (tick, seq) order like any other event,
+     * but it is not work: runUntil() returns as soon as only observer
+     * events remain, so observers never keep each other (or a drained
+     * run) alive, and a run that drains ends at its last simulated
+     * event rather than at a trailing snapshot.
+     */
+    template <typename F>
+    void
+    scheduleObserver(Tick when, F fire)
+    {
+        ++observers_;
+        // F itself, not a Callback, is captured: a small observer
+        // lambda keeps the wrapper inline (no allocation).
+        schedule(when, [this, fire = std::move(fire)]() mutable {
+            --observers_;
+            fire();
+        });
+    }
+
+    /** Register @p hook to run each time the queue quiesces with
+     *  observer events pending, after they are dropped: the observers
+     *  stand down there (and the watchdog checks for a deadlock). */
+    void
+    onQuiesce(std::function<void()> hook)
+    {
+        quiesceHooks_.push_back(std::move(hook));
+    }
+
+    /**
+     * Drop the pending observer events -- nothing else may be pending
+     * -- and run the quiesce hooks. runUntil() calls this when it
+     * drains; the parallel executor calls it once every domain is down
+     * to observer events. Time stays at the last executed event.
+     */
+    void
+    quiesce()
+    {
+        CXLMEMO_ASSERT(!running_ && !driven_,
+                       "quiesce called from a callback");
+        CXLMEMO_ASSERT(size_ == observers_,
+                       "quiesce with %zu work event(s) pending",
+                       size_ - observers_);
+        for (auto &bucket : wheel_)
+            bucket.clear();
+        for (auto &word : occ_)
+            word = 0;
+        far_.clear();
+        active_.clear();
+        order_.clear();
+        activeIdx_ = 0;
+        wheelCount_ = 0;
+        size_ = 0;
+        observers_ = 0;
+        for (const auto &hook : quiesceHooks_)
+            hook();
     }
 
     /**
@@ -205,80 +268,17 @@ class EventQueue
 
     /**
      * Run events until the queue drains or @p limit is reached.
-     * Events scheduled exactly at @p limit still execute.
+     * Events scheduled exactly at @p limit still execute. Draining
+     * means only observer events are left; they are dropped and the
+     * quiesce hooks run (see scheduleObserver).
      * @return true if the queue drained, false if the limit stopped us.
      */
-    bool
-    runUntil(Tick limit)
-    {
-        CXLMEMO_ASSERT(!running_ && !driven_,
-                       "runUntil called from a callback");
-        running_ = true;
-        while (size_ > 0) {
-            // Lazily sort the next populated wheel window once the
-            // previous one is spent.
-            if (activeIdx_ >= order_.size() && wheelCount_ > 0)
-                loadNextWindow();
+    bool runUntil(Tick limit) { return dispatch<true>(limit); }
 
-            if (activeIdx_ < order_.size() && far_.empty())
-                [[likely]] {
-                // Fast path: next event comes from the sorted window
-                // and nothing in the heap can precede it. Execute in
-                // place -- the callback is never moved.
-                const std::uint64_t key = order_[activeIdx_];
-                const Tick when = activeWindowStart_ + (key >> 32);
-                if (when > limit) {
-                    curTick_ = limit;
-                    running_ = false;
-                    return false;
-                }
-                ++activeIdx_;
-                curTick_ = when;
-                --size_;
-                ++executed_;
-                Event &ev = active_[static_cast<std::uint32_t>(key)];
-                ev.cb();
-                ev.cb = nullptr;
-                continue;
-            }
-
-            // Merge path: pick the earlier of the window cursor and
-            // the far heap by (tick, seq).
-            Event *wEv = nullptr;
-            Tick wWhen = 0;
-            if (activeIdx_ < order_.size()) {
-                const std::uint64_t key = order_[activeIdx_];
-                wWhen = activeWindowStart_ + (key >> 32);
-                wEv = &active_[static_cast<std::uint32_t>(key)];
-            }
-            Event *fEv = far_.empty() ? nullptr : far_.data();
-            const bool fromFar =
-                !wEv
-                || (fEv
-                    && (fEv->when < wWhen
-                        || (fEv->when == wWhen && fEv->seq < wEv->seq)));
-
-            const Tick when = fromFar ? fEv->when : wWhen;
-            if (when > limit) {
-                curTick_ = limit;
-                running_ = false;
-                return false;
-            }
-            curTick_ = when;
-            --size_;
-            ++executed_;
-            if (fromFar) {
-                Callback cb = popFar();
-                cb();
-            } else {
-                ++activeIdx_;
-                wEv->cb();
-                wEv->cb = nullptr;
-            }
-        }
-        running_ = false;
-        return true;
-    }
+    /** runUntil() for the parallel executor's windows: observer events
+     *  execute like any other, and the queue never quiesces by itself
+     *  (the executor applies the observer rule across all domains). */
+    bool runWindow(Tick limit) { return dispatch<false>(limit); }
 
     /** Run until the queue is empty. */
     void run() { runUntil(maxTick); }
@@ -306,12 +306,83 @@ class EventQueue
         nextScanWindow_ = 0;
         wheelCount_ = 0;
         size_ = 0;
+        observers_ = 0;
         curTick_ = 0;
         nextSeq_ = 0;
         executed_ = 0;
     }
 
   private:
+    /** The dispatch loop; @p Quiesce applies the observer rule. */
+    template <bool Quiesce>
+    bool
+    dispatch(Tick limit)
+    {
+        CXLMEMO_ASSERT(!running_ && !driven_,
+                       "runUntil called from a callback");
+        running_ = true;
+        while (size_ > (Quiesce ? observers_ : 0)) {
+            // Lazily sort the next populated wheel window once the
+            // previous one is spent.
+            if (activeIdx_ >= order_.size() && wheelCount_ > 0)
+                loadNextWindow();
+
+            if (activeIdx_ < order_.size() && far_.empty())
+                [[likely]] {
+                // Fast path: next event comes from the sorted window
+                // and nothing in the heap can precede it. Execute in
+                // place -- the callback is never moved.
+                const std::uint64_t key = order_[activeIdx_];
+                const Tick when = activeWindowStart_ + (key >> 32);
+                if (when > limit)
+                    return stopAt(limit);
+                ++activeIdx_;
+                curTick_ = when;
+                --size_;
+                ++executed_;
+                Event &ev = active_[static_cast<std::uint32_t>(key)];
+                ev.cb();
+                ev.cb = nullptr;
+                continue;
+            }
+
+            // Merge path: pick the earlier of the window cursor and
+            // the far heap by (tick, seq).
+            Event *wEv = nullptr;
+            Tick wWhen = 0;
+            if (activeIdx_ < order_.size()) {
+                const std::uint64_t key = order_[activeIdx_];
+                wWhen = activeWindowStart_ + (key >> 32);
+                wEv = &active_[static_cast<std::uint32_t>(key)];
+            }
+            Event *fEv = far_.empty() ? nullptr : far_.data();
+            const bool fromFar =
+                !wEv
+                || (fEv
+                    && (fEv->when < wWhen
+                        || (fEv->when == wWhen && fEv->seq < wEv->seq)));
+
+            const Tick when = fromFar ? fEv->when : wWhen;
+            if (when > limit)
+                return stopAt(limit);
+            curTick_ = when;
+            --size_;
+            ++executed_;
+            if (fromFar) {
+                Callback cb = popFar();
+                cb();
+            } else {
+                ++activeIdx_;
+                wEv->cb();
+                wEv->cb = nullptr;
+            }
+        }
+        running_ = false;
+        if (Quiesce && size_ > 0)
+            quiesce();
+        return true;
+    }
+
     struct Event
     {
         Tick when;
@@ -346,6 +417,19 @@ class EventQueue
     {
         return static_cast<std::size_t>((t >> windowBits)
                                         % numWindows);
+    }
+
+    /** The run limit stopped dispatch: time advances to @p limit,
+     *  unless only observer events are left (an executor window), in
+     *  which case the queue keeps the tick of its last real event,
+     *  exactly as if it had drained. */
+    bool
+    stopAt(Tick limit)
+    {
+        if (size_ > observers_)
+            curTick_ = limit;
+        running_ = false;
+        return false;
     }
 
     /** Sort the next populated window into execution order. */
@@ -439,6 +523,8 @@ class EventQueue
     Tick nextScanWindow_ = 0;   //!< first window not yet sorted
     std::size_t wheelCount_ = 0;
     std::size_t size_ = 0;
+    std::size_t observers_ = 0; //!< observer events among size_
+    std::vector<std::function<void()>> quiesceHooks_;
     bool running_ = false;
     bool driven_ = false; //!< inside beginExternalDrive/endExternalDrive
 

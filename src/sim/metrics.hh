@@ -35,11 +35,12 @@
  * so a late tail blow-up is visible at the interval it happened, not
  * smeared into the whole-run distribution.
  *
- * The sampler follows the watchdog's scheduling-neutrality rule: its
- * event reschedules itself only while other events are pending, so
- * it never keeps EventQueue::run() from draining; the harness rearms
- * it when starting new work. Disabled (interval 0, the default),
- * nothing is scheduled and behaviour is bit-identical.
+ * The sampler runs on the watchdog's ObserverClock: its snapshots are
+ * observer events, so it never keeps EventQueue::run() from draining
+ * nor moves the tick a run ends at; it stands down when the queue
+ * drains and the harness rearms it when starting new work. Disabled
+ * (interval 0, the default), nothing is scheduled and behaviour is
+ * bit-identical.
  */
 
 #ifndef CXLMEMO_SIM_METRICS_HH
@@ -51,8 +52,8 @@
 #include <string>
 #include <vector>
 
-#include "sim/event_queue.hh"
 #include "sim/histogram.hh"
+#include "sim/parallel.hh"
 #include "sim/types.hh"
 
 namespace cxlmemo
@@ -157,18 +158,19 @@ class MetricsRegistry
 
 /**
  * Periodic sim-time driver for a MetricsRegistry. arm() schedules the
- * next snapshot; the event re-arms itself only while the event queue
- * has other work, standing down at quiesce (rearm via
+ * next snapshot and every snapshot schedules the one after; the cycle
+ * stands down when the queue drains (rearm via
  * Machine::rearmWatchdog(), which the harness already calls when
  * starting each run phase).
  */
 class MetricsSampler
 {
   public:
-    MetricsSampler(EventQueue &eq, MetricsRegistry &registry,
+    MetricsSampler(ObserverClock clock, MetricsRegistry &registry,
                    Tick interval)
-        : eq_(eq), registry_(registry), interval_(interval)
+        : clock_(clock), registry_(registry), interval_(interval)
     {
+        clock_.onQuiesce([this] { armed_ = false; });
     }
 
     void
@@ -177,48 +179,21 @@ class MetricsSampler
         if (armed_ || interval_ == 0)
             return;
         armed_ = true;
-        if (onSchedule_)
-            onSchedule_(eq_.curTick() + interval_);
-        eq_.scheduleIn(interval_, [this] { sample(); });
+        clock_.after(interval_, [this] {
+            armed_ = false;
+            registry_.snapshot(clock_.now());
+            arm();
+        });
     }
 
     bool armed() const { return armed_; }
     Tick interval() const { return interval_; }
 
-    /**
-     * Parallel-engine hooks. A snapshot reads counters owned by other
-     * simulation domains, so it must run at a globally quiesced tick:
-     * @p onSchedule is told every absolute snapshot tick (the Machine
-     * registers it as an executor fence) and @p pending replaces
-     * eq.pending() as the keep-alive test (the local domain queue may
-     * be empty while other domains still carry the work).
-     */
-    void
-    setParallelHooks(std::function<std::size_t()> pending,
-                     std::function<void(Tick)> onSchedule)
-    {
-        pendingHook_ = std::move(pending);
-        onSchedule_ = std::move(onSchedule);
-    }
-
   private:
-    void
-    sample()
-    {
-        armed_ = false;
-        registry_.snapshot(eq_.curTick());
-        const std::size_t left =
-            pendingHook_ ? pendingHook_() : eq_.pending();
-        if (left > 0)
-            arm();
-    }
-
-    EventQueue &eq_;
+    ObserverClock clock_;
     MetricsRegistry &registry_;
     Tick interval_;
     bool armed_ = false;
-    std::function<std::size_t()> pendingHook_;
-    std::function<void(Tick)> onSchedule_;
 };
 
 } // namespace cxlmemo

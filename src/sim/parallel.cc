@@ -128,7 +128,7 @@ void
 ParallelExecutor::runDomainsOf(std::uint32_t worker, Tick target)
 {
     for (std::size_t d = worker; d < domains_.size(); d += threads_)
-        domains_[d]->runUntil(target);
+        domains_[d]->runWindow(target);
 }
 
 void
@@ -160,6 +160,20 @@ ParallelExecutor::run(Tick limit)
     running_ = true;
 
     while (true) {
+        // Only observer events left: the run is over. Drop them (the
+        // fences they registered go too) and let the observers stand
+        // down, exactly as a single queue does when it drains.
+        std::size_t observers = 0;
+        for (const EventQueue *eq : domains_)
+            observers += eq->observersPending();
+        if (observers > 0 && pending() == observers) {
+            for (EventQueue *eq : domains_)
+                if (eq->observersPending() > 0)
+                    eq->quiesce();
+            fences_.clear();
+            break;
+        }
+
         const Tick start = minPeek();
         if (start == maxTick || start > limit)
             break;
@@ -175,7 +189,7 @@ ParallelExecutor::run(Tick limit)
             // may read any domain's state and re-register fences.
             ++windows_;
             for (EventQueue *eq : domains_)
-                eq->runUntil(start);
+                eq->runWindow(start);
             mergeOutboxes(start);
             fences_.erase(start);
             continue;

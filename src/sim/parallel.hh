@@ -36,7 +36,9 @@
  * state. Components register those ticks as *fences*; the executor
  * ends the window early at a fence and executes the fence tick
  * sequentially, domain by domain in rank order, on the coordinator
- * thread -- race-free and in a fixed order.
+ * thread -- race-free and in a fixed order. Observer events are not
+ * work here either: once every pending event is one, run() drops them
+ * and returns, as a single queue does (ObserverClock).
  */
 
 #ifndef CXLMEMO_SIM_PARALLEL_HH
@@ -44,6 +46,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <set>
 #include <thread>
@@ -167,6 +170,51 @@ class ParallelExecutor
     std::uint64_t windows_ = 0;
     std::uint64_t crossPosts_ = 0;
     std::uint64_t clampedPosts_ = 0;
+};
+
+/**
+ * The clock the interval observers (watchdog, metrics sampler) run
+ * on. A snapshot is an observer event on the host queue
+ * (EventQueue::scheduleObserver), so it is never work: observers
+ * cannot keep each other or a drained run alive, and a run that
+ * drains ends at its last simulated event. On the parallel engine
+ * every snapshot tick is also an executor fence, because a snapshot
+ * reads state owned by other domains. Machine and Cluster each build
+ * one; a classic-engine clock converts from its queue.
+ */
+class ObserverClock
+{
+  public:
+    ObserverClock(EventQueue &eq, ParallelExecutor *exec = nullptr)
+        : eq_(&eq), exec_(exec)
+    {
+    }
+
+    Tick now() const { return eq_->curTick(); }
+
+    /** Run @p fire as an observer event @p delay ticks from now. */
+    template <typename F>
+    void
+    after(Tick delay, F fire)
+    {
+        const Tick when = eq_->curTick() + delay;
+        if (exec_)
+            exec_->addFence(when);
+        eq_->scheduleObserver(when, std::move(fire));
+    }
+
+    /** @p hook runs whenever the simulation quiesces with observer
+     *  events pending (EventQueue::onQuiesce); the observer owning it
+     *  must outlive every later run of the queue. */
+    void
+    onQuiesce(std::function<void()> hook)
+    {
+        eq_->onQuiesce(std::move(hook));
+    }
+
+  private:
+    EventQueue *eq_;
+    ParallelExecutor *exec_;
 };
 
 } // namespace cxlmemo

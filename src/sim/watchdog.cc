@@ -7,9 +7,10 @@
 namespace cxlmemo
 {
 
-Watchdog::Watchdog(EventQueue &eq, WatchdogParams params)
-    : eq_(eq), params_(params)
+Watchdog::Watchdog(ObserverClock clock, WatchdogParams params)
+    : clock_(clock), params_(params)
 {
+    clock_.onQuiesce([this] { drained(); });
 }
 
 std::uint64_t
@@ -40,9 +41,21 @@ Watchdog::arm()
     // mistaken for progress within the next interval, and vice versa.
     lastRetired_ = totalRetired();
     strikes_ = 0;
-    if (onSchedule_)
-        onSchedule_(eq_.curTick() + params_.interval);
-    eq_.scheduleIn(params_.interval, [this] { snapshot(); });
+    clock_.after(params_.interval, [this] { snapshot(); });
+}
+
+bool
+Watchdog::invariantTripped()
+{
+    for (const ProgressSource *s : sources_) {
+        const std::string violation = s->progressInvariant();
+        if (!violation.empty()) {
+            trip("invariant violated in '" + s->progressName()
+                 + "': " + violation);
+            return true;
+        }
+    }
+    return false;
 }
 
 void
@@ -50,17 +63,8 @@ Watchdog::snapshot()
 {
     armed_ = false;
     ++snapshots_;
-    if (tripped_)
+    if (tripped_ || invariantTripped())
         return;
-
-    for (const ProgressSource *s : sources_) {
-        const std::string violation = s->progressInvariant();
-        if (!violation.empty()) {
-            trip("invariant violated in '" + s->progressName()
-                 + "': " + violation);
-            return;
-        }
-    }
 
     const std::uint64_t retired = totalRetired();
     const std::uint64_t outstanding = totalOutstanding();
@@ -78,17 +82,22 @@ Watchdog::snapshot()
         strikes_ = 0;
     }
     lastRetired_ = retired;
+    arm();
+}
 
-    const std::size_t left =
-        pendingHook_ ? pendingHook_() : eq_.pending();
-    if (left > 0) {
-        arm();
-    } else if (outstanding > 0) {
-        trip("event queue drained with "
-             + std::to_string(outstanding)
+void
+Watchdog::drained()
+{
+    if (!armed_ || tripped_)
+        return;
+    armed_ = false;
+    if (invariantTripped())
+        return;
+    const std::uint64_t outstanding = totalOutstanding();
+    if (outstanding > 0) {
+        trip("event queue drained with " + std::to_string(outstanding)
              + " request(s) outstanding (deadlock)");
     }
-    // Quiesced (no events, no work): stand down until rearmed.
 }
 
 void
@@ -108,7 +117,7 @@ Watchdog::trip(const std::string &why)
 {
     tripped_ = true;
     std::ostringstream os;
-    os << "watchdog trip at " << nsFromTicks(eq_.curTick())
+    os << "watchdog trip at " << nsFromTicks(clock_.now())
        << " ns: " << why << "\n";
     for (const ProgressSource *s : sources_) {
         os << "  source '" << s->progressName() << "': retired "

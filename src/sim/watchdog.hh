@@ -23,11 +23,14 @@
  * followed by abort, so a wedged run dies with a post-mortem instead
  * of burning CPU forever.
  *
- * The watchdog is scheduling-neutral when idle: its snapshot event
- * reschedules itself only while other events are pending, so an
- * armed watchdog never keeps `EventQueue::run()` from draining.
- * Disabled (the default), no event is ever scheduled and behaviour
- * is bit-identical to a build without this subsystem.
+ * The watchdog is scheduling-neutral: its snapshots are observer
+ * events on an ObserverClock, which never count as work, so an armed
+ * watchdog never keeps `EventQueue::run()` from draining nor moves
+ * the tick a run ends at. When the queue drains with snapshots still
+ * pending they are dropped, the watchdog runs its deadlock check and
+ * stands down until rearmed. Disabled (the default), no event is ever
+ * scheduled and behaviour is bit-identical to a build without this
+ * subsystem.
  */
 
 #ifndef CXLMEMO_SIM_WATCHDOG_HH
@@ -38,7 +41,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/event_queue.hh"
+#include "sim/parallel.hh"
 #include "sim/types.hh"
 
 namespace cxlmemo
@@ -87,15 +90,15 @@ struct WatchdogParams
 
 /**
  * The watchdog proper. Owned by whoever assembles the simulation
- * (Machine); sources register once, `arm()` starts (or restarts)
- * the snapshot cycle.
+ * (Machine, Cluster); sources register once, `arm()` starts (or
+ * restarts) the snapshot cycle.
  */
 class Watchdog
 {
   public:
     using TripHandler = std::function<void(const std::string &report)>;
 
-    Watchdog(EventQueue &eq, WatchdogParams params);
+    Watchdog(ObserverClock clock, WatchdogParams params);
 
     void watch(ProgressSource *source) { sources_.push_back(source); }
 
@@ -127,8 +130,7 @@ class Watchdog
     /**
      * Schedule the next snapshot if none is pending. Call after
      * construction and again whenever new work is started after the
-     * event queue quiesced (the watchdog stands down at quiesce so
-     * it never prevents `run()` from returning).
+     * event queue quiesced (the watchdog stands down at quiesce).
      */
     void arm();
 
@@ -137,37 +139,22 @@ class Watchdog
     std::uint64_t snapshots() const { return snapshots_; }
     bool armed() const { return armed_; }
 
-    /**
-     * Parallel-engine hooks. A snapshot reads progress counters owned
-     * by other simulation domains, so it must run at a globally
-     * quiesced tick: @p onSchedule is told every absolute snapshot
-     * tick (the Machine registers it as an executor fence) and
-     * @p pending replaces eq.pending() in the deadlock test -- the
-     * watchdog's own queue may be empty while other domains still
-     * carry the work that will complete the outstanding requests.
-     */
-    void
-    setParallelHooks(std::function<std::size_t()> pending,
-                     std::function<void(Tick)> onSchedule)
-    {
-        pendingHook_ = std::move(pending);
-        onSchedule_ = std::move(onSchedule);
-    }
-
   private:
     void snapshot();
+    /** The queue drained with a snapshot pending: stand down, or trip
+     *  if work is still outstanding (nothing can ever complete it). */
+    void drained();
+    /** Trip on the first source reporting a broken invariant. */
+    bool invariantTripped();
     void trip(const std::string &why);
     std::uint64_t totalRetired() const;
     std::uint64_t totalOutstanding() const;
 
-    EventQueue &eq_;
+    ObserverClock clock_;
     WatchdogParams params_;
     std::vector<ProgressSource *> sources_;
     std::vector<std::function<std::string()>> postMortems_;
     TripHandler onTrip_;
-
-    std::function<std::size_t()> pendingHook_;
-    std::function<void(Tick)> onSchedule_;
 
     bool armed_ = false;
     bool tripped_ = false;

@@ -402,32 +402,27 @@ Cluster::Cluster(const PoolSpec &spec, Options opts)
     if (spec_.crashHost >= 0)
         crashTick_ = ticksFromNs(spec_.crashAtNs);
 
+    // The watchdog and the metrics sampler share one observer clock:
+    // snapshots on the fabric queue, fenced on the parallel engine.
+    const ObserverClock clock(eq_, exec_.get());
     if (opts_.watchdogUs > 0.0) {
         WatchdogParams wp;
         wp.interval = ticksFromUs(opts_.watchdogUs);
-        watchdog_ = std::make_unique<Watchdog>(eq_, wp);
+        watchdog_ = std::make_unique<Watchdog>(clock, wp);
         watchdog_->watch(sw_.get());
         for (auto &d : devices_)
             watchdog_->watch(d.get());
-        if (exec_) {
-            // Staged cross-host outboxes count as pending work:
-            // without this a drained fabric queue between windows
-            // looks like a deadlock while host posts are in flight.
-            watchdog_->setParallelHooks(
-                [this] { return exec_->pending(); },
-                [this](Tick t) { exec_->addFence(t); });
-        }
         watchdog_->setOnTrip([this](const std::string &report) {
             watchdogTripped_ = true;
             watchdogReport_ = report;
         });
     }
 
-    setupObservability();
+    setupObservability(clock);
 }
 
 void
-Cluster::setupObservability()
+Cluster::setupObservability(const ObserverClock &clock)
 {
     const ObservabilityOptions &obs = opts_.obs;
     // Tracing marks spans on both the host and fabric domains, so it
@@ -451,16 +446,8 @@ Cluster::setupObservability()
     if (obs.metricsInterval > 0) {
         metrics_ = std::make_unique<MetricsRegistry>();
         registerMetrics();
-        sampler_ = std::make_unique<MetricsSampler>(eq_, *metrics_,
+        sampler_ = std::make_unique<MetricsSampler>(clock, *metrics_,
                                                     obs.metricsInterval);
-        if (exec_) {
-            // A snapshot reads fabric-domain state; fence every
-            // snapshot tick so it observes a globally quiesced fabric
-            // (same hooks as the watchdog above).
-            sampler_->setParallelHooks(
-                [this] { return exec_->pending(); },
-                [this](Tick t) { exec_->addFence(t); });
-        }
     }
     if (watchdog_) {
         for (auto &H : hosts_) {

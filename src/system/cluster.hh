@@ -351,7 +351,7 @@ class Cluster
     void fenceHost(std::uint32_t host, Tick now);
     std::uint64_t missValue(std::uint32_t dev, Addr addr) const;
     std::string attributionVerdict() const;
-    void setupObservability();
+    void setupObservability(const ObserverClock &clock);
     void registerMetrics();
     std::string exportTraceJson() const;
 

@@ -486,18 +486,13 @@ Machine::Machine(Testbed testbed, MachineOptions opts) : testbed_(testbed)
         }
         caches_->setQosThrottle(throttle_.get(), cxlNode_);
     }
+    // The watchdog and the metrics sampler share one observer clock:
+    // snapshots on the host queue, fenced on the parallel engine.
+    const ObserverClock clock(eq_, exec_.get());
     if (opts.watchdogInterval > 0) {
         WatchdogParams wp;
         wp.interval = opts.watchdogInterval;
-        watchdog_ = std::make_unique<Watchdog>(eq_, wp);
-        if (par) {
-            // Snapshots read device-domain state, so every snapshot
-            // tick becomes an executor fence; the deadlock test must
-            // see the whole machine's pending work, not just rank 0's.
-            watchdog_->setParallelHooks(
-                [this] { return exec_->pending(); },
-                [this](Tick t) { exec_->addFence(t); });
-        }
+        watchdog_ = std::make_unique<Watchdog>(clock, wp);
         if (cxl_) {
             cxl_->enableProgressTracking();
             watchdog_->watch(cxl_.get());
@@ -601,12 +596,7 @@ Machine::Machine(Testbed testbed, MachineOptions opts) : testbed_(testbed)
         metrics_ = std::make_unique<MetricsRegistry>();
         registerMetrics();
         sampler_ = std::make_unique<MetricsSampler>(
-            eq_, *metrics_, opts.obs.metricsInterval);
-        if (par) {
-            sampler_->setParallelHooks(
-                [this] { return exec_->pending(); },
-                [this](Tick t) { exec_->addFence(t); });
-        }
+            clock, *metrics_, opts.obs.metricsInterval);
         sampler_->arm();
     }
 

@@ -479,6 +479,31 @@ TEST(MemoGolden, WatchdogInterval)
     checkCase("watchdog_csv", plus(kDrill, {"--watchdog-ns", "5000"}));
 }
 
+// The watchdog and the metrics sampler only observe: a drained run
+// ends at its last simulated event with either armed, so every column
+// computed from the elapsed time is the dark run's, byte for byte.
+TEST(MemoGolden, ObserversLeaveDrainedRunsUntouched)
+{
+    const std::vector<std::string> chase = {"--mode", "chase",
+                                            "--target", "cxl", "--wss",
+                                            "64K", "--attrib", "--csv"};
+    const std::vector<std::string> pool = plus(kPool, {"--attrib"});
+    for (const auto &base : {chase, pool}) {
+        const CliRun dark = runMemo(base);
+        ASSERT_EQ(dark.rc, 0);
+        for (const std::vector<std::string> &obs :
+             {std::vector<std::string>{"--metrics-interval-ns", "20000"},
+              std::vector<std::string>{"--watchdog-ns", "20000"},
+              std::vector<std::string>{"--watchdog",
+                                       "--metrics-interval-ns",
+                                       "20000"}}) {
+            const CliRun armed = runMemo(plus(base, obs));
+            EXPECT_EQ(armed.rc, 0) << base[1] << " " << obs[0];
+            EXPECT_EQ(armed.out, dark.out) << base[1] << " " << obs[0];
+        }
+    }
+}
+
 // Every tier at once on the parallel engine: byte-identical at any
 // worker count. (The classic engine draws faults from another stream,
 // so this family has a golden of its own.)

@@ -346,6 +346,68 @@ TEST(MetricsSampler, StandsDownAtQuiesce)
     EXPECT_GE(r.snapshots(), 5u);
 }
 
+/* -------------------------- observer clock ------------------------ */
+
+TEST(ObserverClock, ObserversDoNotKeepEachOtherAlive)
+{
+    // A watchdog and a sampler on one queue: neither snapshot is work
+    // for the other, so the run drains at its last real event and
+    // both stand down, with no trailing snapshot.
+    EventQueue eq;
+    MetricsRegistry r;
+    std::uint64_t v = 0;
+    r.addCounter("c", [&v] { return v; });
+    MetricsSampler sampler(eq, r, ticksFromNs(100.0));
+    WatchdogParams wp;
+    wp.interval = ticksFromNs(150.0);
+    Watchdog dog(eq, wp);
+    for (int i = 1; i <= 10; ++i)
+        eq.scheduleIn(ticksFromNs(95.0 * i), [&v] { ++v; });
+    sampler.arm();
+    dog.arm();
+    EXPECT_TRUE(eq.runUntil(ticksFromUs(100.0)));
+    EXPECT_EQ(eq.curTick(), ticksFromNs(950.0));
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_FALSE(sampler.armed());
+    EXPECT_FALSE(dog.armed());
+    EXPECT_FALSE(dog.tripped());
+    EXPECT_EQ(r.snapshots(), 9u);
+}
+
+/** Run a 64 KiB CXL load stream to quiesce under @p limit; returns
+ *  whether it drained and the tick it ended at. */
+std::pair<bool, Tick>
+drainStream(MachineOptions mo)
+{
+    Machine m(Testbed::SingleSocketCxl, mo);
+    auto t = m.makeThread(0);
+    NumaBuffer buf =
+        m.numa().alloc(64 * kiB, MemPolicy::membind(m.cxlNode()));
+    t->start(std::make_unique<SequentialStream>(
+                 buf, 0, 64 * kiB, 64 * kiB, MemOp::Kind::Load),
+             m.eq().curTick(), [](Tick, Tick) {});
+    m.rearmWatchdog();
+    const bool drained = m.runUntil(ticksFromUs(10000.0));
+    EXPECT_TRUE(t->finished());
+    return {drained, m.eq().curTick()};
+}
+
+TEST(ObserverClock, MachineWithBothObserversDrainsAtItsLastEvent)
+{
+    for (const std::uint32_t st : {0u, 1u}) {
+        MachineOptions dark;
+        dark.simThreads = st;
+        const auto ref = drainStream(dark);
+        ASSERT_TRUE(ref.first);
+        MachineOptions armed = dark;
+        armed.watchdogInterval = ticksFromUs(2.0);
+        armed.obs.metricsInterval = ticksFromNs(1500.0);
+        const auto got = drainStream(armed);
+        EXPECT_TRUE(got.first) << st << " sim-threads";
+        EXPECT_EQ(got.second, ref.second) << st << " sim-threads";
+    }
+}
+
 /* --------------------- machine-level wiring ---------------------- */
 
 TEST(MachineObservability, DefaultBuildsNoObservers)

@@ -389,6 +389,28 @@ TEST(Pool, WatchdogStaysQuietOnAHealthyDrill)
     EXPECT_TRUE(r.ledgerOk);
 }
 
+TEST(Pool, BothObserversLetTheRunEndAtItsLastEvent)
+{
+    // Watchdog and metrics snapshots are observer events: armed
+    // together they neither keep each other alive nor move the tick
+    // the drained run ends at, on either engine.
+    for (const std::uint32_t st : {0u, 2u}) {
+        Cluster::Options o;
+        o.simThreads = st;
+        o.limitUs = 10000.0;
+        Cluster dark(drillSpec(), o);
+        const auto ref = dark.run();
+        o.watchdogUs = 20.0;
+        o.obs.metricsInterval = ticksFromNs(20000.0);
+        Cluster armed(drillSpec(), o);
+        const auto r = armed.run();
+        EXPECT_EQ(r.endTick, ref.endTick) << st << " sim-threads";
+        EXPECT_LT(r.endTick, ticksFromUs(o.limitUs));
+        EXPECT_FALSE(r.watchdogTripped) << r.watchdogReport;
+        EXPECT_FALSE(r.metricsRows.empty());
+    }
+}
+
 /* -------------------- fabric attribution ------------------------- */
 
 /** Field-exact comparison of two fabric snapshots (integer sums, so
