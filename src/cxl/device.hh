@@ -190,15 +190,11 @@ class CxlMemDevice : public MemoryDevice, public ProgressSource
 
     /* ---------------------- overload control --------------------- */
 
-    /** The host bridge reacting to this device's DevLoad telemetry
-     *  (piggybacked on S2M responses); nullptr = no reaction. */
-    void setHostThrottle(HostThrottle *throttle) { throttle_ = throttle; }
-
-    /** Divert DevLoad observations instead of driving a HostThrottle
-     *  directly: the parallel engine installs a sink that posts the
-     *  (load, level, tick) sample into the host domain, because the
-     *  throttle lives on the other side of the domain boundary. A set
-     *  sink takes precedence over setHostThrottle. */
+    /** Where this device's DevLoad telemetry (piggybacked on S2M
+     *  responses) goes as (load, level, tick) samples: the Machine
+     *  installs a sink that drives its host throttle, directly on the
+     *  classic engine and posted into the host domain on the parallel
+     *  one. No sink = no reaction. */
     void setLoadSink(std::function<void(double, DevLoad, Tick)> sink)
     {
         loadSink_ = std::move(sink);
@@ -394,7 +390,6 @@ class CxlMemDevice : public MemoryDevice, public ProgressSource
 
     /* overload control (all inert unless configured) */
     std::unique_ptr<DevLoadMeter> meter_;
-    HostThrottle *throttle_ = nullptr;
     std::function<void(double, DevLoad, Tick)> loadSink_;
     std::deque<std::pair<MemRequest, Tick>> rdCreditWait_;
     std::deque<std::pair<MemRequest, Tick>> wrCreditWait_;

@@ -323,6 +323,7 @@ InterleavedMemory::InterleavedMemory(EventQueue &eq, const std::string &name,
             channelQueues.empty() ? eq : *channelQueues[i];
         channels_.push_back(
             std::make_unique<DramChannel>(chEq, std::move(p), faults));
+        route_.push_back(channels_.back().get());
     }
 }
 
@@ -344,11 +345,7 @@ InterleavedMemory::access(MemRequest req)
     const Addr local = (chunk / channels_.size()) * interleaveBytes_
                        + (req.addr % interleaveBytes_);
     req.addr = local;
-    if (hop_) {
-        hop_(ch, std::move(req));
-        return;
-    }
-    channels_[ch]->access(std::move(req));
+    route_[ch]->access(std::move(req));
 }
 
 DeviceStats

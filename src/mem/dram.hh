@@ -210,7 +210,7 @@ class InterleavedMemory : public MemoryDevice
      *        (size must equal @p numChannels): channel @p i runs on
      *        *channelQueues[i] instead of @p eq. Used by the parallel
      *        engine to give each channel its own simulation domain;
-     *        requests must then be routed via setChannelHop.
+     *        requests must then be routed via routeChannel.
      */
     InterleavedMemory(EventQueue &eq, const std::string &name,
                       const DramChannelParams &channelParams,
@@ -257,15 +257,15 @@ class InterleavedMemory : public MemoryDevice
     }
 
     /**
-     * Divert channel dispatch: access() still selects the channel and
-     * compacts the address, but then hands (channel, request) to
-     * @p hop instead of calling DramChannel::access directly. The
-     * parallel engine uses this to post the request into the channel's
-     * domain; the hop must eventually deliver it to channel(ch).
+     * Route channel @p ch through @p face: access() still selects the
+     * channel and compacts the address, then hands the request to
+     * @p face instead of the channel. The parallel engine passes a
+     * proxy that relays it into the channel's domain.
      */
-    void setChannelHop(std::function<void(std::uint32_t, MemRequest)> hop)
+    void
+    routeChannel(std::uint32_t ch, MemoryDevice &face)
     {
-        hop_ = std::move(hop);
+        route_[ch] = &face;
     }
 
   private:
@@ -274,7 +274,8 @@ class InterleavedMemory : public MemoryDevice
     std::vector<std::unique_ptr<DramChannel>> channels_;
     std::uint64_t interleaveBytes_;
     std::unique_ptr<LatencyHistogram> latHist_;
-    std::function<void(std::uint32_t, MemRequest)> hop_;
+    /** Per channel: the channel itself, or its routeChannel face. */
+    std::vector<MemoryDevice *> route_;
 };
 
 } // namespace cxlmemo

@@ -197,12 +197,14 @@ constexpr Tick kDomainLookahead = ticksFromNs(5.0);
 constexpr std::uint64_t kDevFaultSeedSalt = 0x9e3779b97f4a7c15ULL;
 
 /**
- * Host-side stand-in, registered in the NUMA space, for a device that
- * lives in another simulation domain. Relays the access into the
- * device's domain (one lookahead crossing), relays acceptance and
- * completion back (another crossing), and replays the device-side
- * poison verdict into the host-side injector so the cache hierarchy's
- * consumption protocol is unchanged.
+ * Host-side stand-in for a device that lives in another simulation
+ * domain: a local DRAM channel (routed by InterleavedMemory), the
+ * remote socket or the CXL device (registered in the NUMA space).
+ * Relays the access into the device's domain (one lookahead
+ * crossing), relays acceptance and completion back (another
+ * crossing), and replays the device-side poison verdict into the
+ * host-side injector so the cache hierarchy's consumption protocol is
+ * unchanged.
  */
 class DomainProxy final : public MemoryDevice
 {
@@ -385,33 +387,14 @@ Machine::Machine(Testbed testbed, MachineOptions opts) : testbed_(testbed)
         local_channels, 256, nullptr, chQueues);
     localNode_ = numa_.addNode("local-ddr5", local_.get(), local_capacity);
     if (par) {
-        local_->setChannelHop([this](std::uint32_t ch, MemRequest req) {
-            const std::uint32_t rank = 1 + ch;
-            if (req.onComplete) {
-                req.onComplete = [this, rank,
-                                  cb = std::move(req.onComplete)](
-                                     Tick t) mutable {
-                    exec_->post(rank, 0, t + lookahead_,
-                                [cb = std::move(cb)](Tick at) mutable {
-                                    cb(at);
-                                });
-                };
-            }
-            if (req.onAccept) {
-                req.onAccept = [this, rank,
-                                ac = std::move(req.onAccept)](
-                                   Tick t) mutable {
-                    exec_->post(rank, 0, t + lookahead_,
-                                [ac = std::move(ac)](Tick at) mutable {
-                                    ac(at);
-                                });
-                };
-            }
-            exec_->post(0, rank, eq_.curTick() + lookahead_,
-                        [this, ch, r = std::move(req)](Tick) mutable {
-                            local_->channel(ch).access(std::move(r));
-                        });
-        });
+        // Each channel is its own domain, reached through a proxy
+        // like the remote socket and the CXL device below.
+        for (std::uint32_t ch = 0; ch < local_channels; ++ch) {
+            proxies_.push_back(std::make_unique<DomainProxy>(
+                *exec_, eq_, 1 + ch, local_->channel(ch), lookahead_,
+                nullptr, nullptr));
+            local_->routeChannel(ch, *proxies_.back());
+        }
     }
 
     if (with_remote) {
@@ -470,20 +453,20 @@ Machine::Machine(Testbed testbed, MachineOptions opts) : testbed_(testbed)
         caches_->setFaultInjector(faults_.get());
     if (cxl_ && qosSpec_.policy != QosPolicy::None) {
         throttle_ = std::make_unique<HostThrottle>(qosSpec_, cores);
-        if (par) {
-            // The throttle lives host-side (cores consult it when
-            // issuing); DevLoad samples piggybacked on S2M responses
-            // cross the domain boundary like any other event.
-            cxl_->setLoadSink([this](double load, DevLoad level,
-                                     Tick at) {
-                exec_->post(cxlRank_, 0, at + lookahead_,
-                            [this, load, level](Tick t) {
-                                throttle_->observe(load, level, t);
-                            });
-            });
-        } else {
-            cxl_->setHostThrottle(throttle_.get());
-        }
+        // The throttle lives host-side (cores consult it when
+        // issuing); on the parallel engine DevLoad samples piggybacked
+        // on S2M responses cross the domain boundary like any other
+        // event.
+        cxl_->setLoadSink([this](double load, DevLoad level, Tick at) {
+            if (!exec_) {
+                throttle_->observe(load, level, at);
+                return;
+            }
+            exec_->post(cxlRank_, 0, at + lookahead_,
+                        [this, load, level](Tick t) {
+                            throttle_->observe(load, level, t);
+                        });
+        });
         caches_->setQosThrottle(throttle_.get(), cxlNode_);
     }
     // The watchdog and the metrics sampler share one observer clock:
