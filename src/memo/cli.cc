@@ -801,14 +801,13 @@ collectPoint(Machine &m, std::optional<Target> target, int pid,
     if (RequestTracer *tr = m.tracer()) {
         bool first = p.traceJson.empty();
         tr->appendTraceEvents(p.traceJson, pid, first);
-    }
-    if (TailCapture *tc = m.tailCapture()) {
-        // Exact associative merge: a point that builds several
-        // machines accumulates one top-K union; the outliers also
-        // land on the trace's dedicated tail track when exported.
-        p.tailcap.merge(*tc);
-        bool first = p.traceJson.empty();
-        tc->appendTraceEvents(p.traceJson, pid, first);
+        if (TailCapture *tc = tr->tailCapture()) {
+            // Exact associative merge: a point that builds several
+            // machines accumulates one top-K union; the outliers also
+            // land on the trace's dedicated tail track when exported.
+            p.tailcap.merge(*tc);
+            tc->appendTraceEvents(p.traceJson, pid, first);
+        }
     }
     if (MetricsRegistry *mr = m.metrics()) {
         m.flushMetrics();

@@ -234,15 +234,21 @@ appendSpanLine(std::string &out, const TraceSpan &s, bool open, Tick now)
 std::string
 RequestTracer::postMortem(Tick now) const
 {
-    std::string out = "  flight recorder (sample 1/"
-                      + std::to_string(sampleEvery_) + "):\n";
-    out += "   in-flight spans: " + std::to_string(open_.size()) + "\n";
-    for (const auto &p : open_)
-        appendSpanLine(out, *p, true, now);
-    out += "   last " + std::to_string(ring_.size())
-           + " completed spans:\n";
-    for (const TraceSpan &s : ring_)
-        appendSpanLine(out, s, false, now);
+    std::string out;
+    if (sampleEvery_ > 0) {
+        out += "  flight recorder (sample 1/"
+               + std::to_string(sampleEvery_) + "):\n";
+        out += "   in-flight spans: " + std::to_string(open_.size())
+               + "\n";
+        for (const auto &p : open_)
+            appendSpanLine(out, *p, true, now);
+        out += "   last " + std::to_string(ring_.size())
+               + " completed spans:\n";
+        for (const TraceSpan &s : ring_)
+            appendSpanLine(out, s, false, now);
+    }
+    if (tail_)
+        out += tail_->table();
     return out;
 }
 

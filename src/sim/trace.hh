@@ -196,8 +196,10 @@ class RequestTracer
                            int fabricPid = -1) const;
 
     /**
-     * Flight-recorder dump for the watchdog: the last-N completed
-     * spans and every still-open span with the stage it is stuck in.
+     * Post-mortem section for the watchdog: with sampling on, the
+     * flight recorder's last-N completed spans and every still-open
+     * span with the stage it is stuck in; with tail capture on, the
+     * worst-K table.
      */
     std::string postMortem(Tick now) const;
 

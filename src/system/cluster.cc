@@ -451,7 +451,7 @@ Cluster::setupObservability(const ObserverClock &clock)
     }
     if (watchdog_) {
         for (auto &H : hosts_) {
-            if (!H.tracer || H.tracer->sampleEvery() == 0)
+            if (!H.tracer)
                 continue;
             RequestTracer *tr = H.tracer.get();
             const std::uint32_t h = H.id;
@@ -459,16 +459,6 @@ Cluster::setupObservability(const ObserverClock &clock)
                 return "  host" + std::to_string(h) + " (port"
                        + std::to_string(h) + "):\n"
                        + tr->postMortem(eq_.curTick());
-            });
-        }
-        for (auto &H : hosts_) {
-            TailCapture *tc = H.tracer ? H.tracer->tailCapture() : nullptr;
-            if (!tc)
-                continue;
-            const std::uint32_t h = H.id;
-            watchdog_->addPostMortem([tc, h] {
-                return "  host" + std::to_string(h) + " tail:\n"
-                       + tc->table();
             });
         }
         if (board_) {

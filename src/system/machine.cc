@@ -559,13 +559,9 @@ Machine::Machine(Testbed testbed, MachineOptions opts) : testbed_(testbed)
     tracer_ = RequestTracer::fromOptions(opts.obs);
     if (tracer_) {
         caches_->setTracer(tracer_.get());
-        if (watchdog_ && opts.obs.traceSampleEvery > 0) {
+        if (watchdog_) {
             watchdog_->addPostMortem(
                 [this] { return tracer_->postMortem(eq_.curTick()); });
-        }
-        if (watchdog_ && tailCapture()) {
-            watchdog_->addPostMortem(
-                [this] { return tailCapture()->table(); });
         }
     }
     if (opts.obs.latencyHistograms) {
