@@ -625,6 +625,34 @@ TEST(MemoCli, TraceFlagsRequireClassicEngine)
     EXPECT_TRUE(parse({"--mode", "pool", "--trace-out", "t.json"}));
 }
 
+TEST(MemoCli, UnsupportedObservabilityCombosExit2WithOneLine)
+{
+    // The pool and seq combinations the parallel engine or the tail
+    // depth bound rule out: memoCliMain prints the parse error as one
+    // stderr line and exits 2.
+    const std::vector<std::vector<std::string>> combos = {
+        {"--mode", "pool", "--pool-spec", "hosts=2", "--trace-out",
+         "t.json", "--sim-threads", "2"},
+        {"--mode", "seq", "--target", "cxl", "--op", "load",
+         "--trace-sample", "8", "--sim-threads", "4"},
+        {"--mode", "pool", "--pool-spec", "hosts=2", "--tail-trace",
+         "2000"}};
+    for (std::vector<std::string> v : combos) {
+        std::string err;
+        EXPECT_FALSE(parseCli(v, err).has_value()) << v[1];
+        EXPECT_FALSE(err.empty()) << v[1];
+        EXPECT_EQ(err.find('\n'), std::string::npos) << err;
+        v.insert(v.begin(), "memo");
+        std::vector<char *> argv;
+        for (std::string &a : v)
+            argv.push_back(a.data());
+        EXPECT_EQ(memoCliMain(static_cast<int>(argv.size()),
+                              argv.data()),
+                  2)
+            << v[2];
+    }
+}
+
 TEST(MemoCli, HistogramsAcceptedEverywhereIncludingPool)
 {
     // Pool mode grew per-host read histograms, so --histograms is a
