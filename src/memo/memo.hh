@@ -181,7 +181,7 @@ OverloadResult runOverloadPoint(std::uint32_t threads,
 
 /* ---------------------------- chaos drill ------------------------ */
 
-/** Outcome of one failure drill (memo drill / bench_chaos). */
+/** Outcome of one failure drill (memo --mode drill). */
 struct DrillResult
 {
     /* throughput across the lifecycle */

@@ -181,17 +181,7 @@ class EventQueue
         CXLMEMO_ASSERT(size_ == observers_,
                        "quiesce with %zu work event(s) pending",
                        size_ - observers_);
-        for (auto &bucket : wheel_)
-            bucket.clear();
-        for (auto &word : occ_)
-            word = 0;
-        far_.clear();
-        active_.clear();
-        order_.clear();
-        activeIdx_ = 0;
-        wheelCount_ = 0;
-        size_ = 0;
-        observers_ = 0;
+        dropPending();
         for (const auto &hook : quiesceHooks_)
             hook();
     }
@@ -293,20 +283,10 @@ class EventQueue
         // executor still holds.
         CXLMEMO_ASSERT(!running_ && !driven_,
                        "reset called from a callback");
-        for (auto &bucket : wheel_)
-            bucket.clear();
-        for (auto &word : occ_)
-            word = 0;
-        far_.clear();
-        active_.clear();
-        order_.clear();
-        activeIdx_ = 0;
+        dropPending();
         activeWindowStart_ = 0;
         sortedWindowEnd_ = 0;
         nextScanWindow_ = 0;
-        wheelCount_ = 0;
-        size_ = 0;
-        observers_ = 0;
         curTick_ = 0;
         nextSeq_ = 0;
         executed_ = 0;
@@ -417,6 +397,23 @@ class EventQueue
     {
         return static_cast<std::size_t>((t >> windowBits)
                                         % numWindows);
+    }
+
+    /** Destroy every pending event; time and window geometry stay. */
+    void
+    dropPending()
+    {
+        for (auto &bucket : wheel_)
+            bucket.clear();
+        for (auto &word : occ_)
+            word = 0;
+        far_.clear();
+        active_.clear();
+        order_.clear();
+        activeIdx_ = 0;
+        wheelCount_ = 0;
+        size_ = 0;
+        observers_ = 0;
     }
 
     /** The run limit stopped dispatch: time advances to @p limit,

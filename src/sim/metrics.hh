@@ -172,6 +172,8 @@ class MetricsSampler
     {
         clock_.onQuiesce([this] { armed_ = false; });
     }
+    MetricsSampler(const MetricsSampler &) = delete;
+    MetricsSampler &operator=(const MetricsSampler &) = delete;
 
     void
     arm()

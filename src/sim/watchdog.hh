@@ -99,6 +99,8 @@ class Watchdog
     using TripHandler = std::function<void(const std::string &report)>;
 
     Watchdog(ObserverClock clock, WatchdogParams params);
+    Watchdog(const Watchdog &) = delete;
+    Watchdog &operator=(const Watchdog &) = delete;
 
     void watch(ProgressSource *source) { sources_.push_back(source); }
 
