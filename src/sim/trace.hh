@@ -173,16 +173,12 @@ class RequestTracer
     /** Worst-K tail capture (nullptr unless tailK > 0). */
     TailCapture *tailCapture() const { return tail_.get(); }
 
-    std::uint64_t sampleEvery() const { return sampleEvery_; }
     std::uint64_t seen() const { return seen_; }
     std::size_t openCount() const { return open_.size(); }
     std::size_t completedCount() const { return completed_.size(); }
     std::uint64_t dropped() const { return dropped_; }
 
     const std::deque<TraceSpan> &ring() const { return ring_; }
-
-    /** Completed spans retained for export, in completion order. */
-    const std::vector<TraceSpan> &completed() const { return completed_; }
 
     /**
      * Append this tracer's completed spans with appendSpanEvents():

@@ -922,7 +922,7 @@ Cluster::exportTraceJson() const
     for (const Host &H : hosts_) {
         if (H.tracer) {
             any = true;
-            spans += H.tracer->completed().size();
+            spans += H.tracer->completedCount();
         }
     }
     if (!any)
