@@ -315,6 +315,7 @@ struct StationStack
         return true;
     }
 
+  private:
     /** @p ticks averaged over the bracketed requests, in ns. */
     double
     perRequestNs(std::uint64_t ticks) const
