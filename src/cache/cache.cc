@@ -1,12 +1,17 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
 #include <bit>
+#include <stdexcept>
 
 namespace cxlmemo
 {
 
 namespace
 {
+
+/** One in every nibble. */
+constexpr std::uint64_t nibbleOnes = 0x1111111111111111ull;
 
 std::uint32_t
 roundDownPow2(std::uint32_t v)
@@ -17,17 +22,29 @@ roundDownPow2(std::uint32_t v)
 
 } // namespace
 
+void
+CacheParams::validate() const
+{
+    if (assoc == 0 || assoc > maxAssoc)
+        throw std::invalid_argument("CacheParams: " + name
+                                    + " needs 1 to 16 ways");
+    if (sizeBytes < cachelineBytes * assoc)
+        throw std::invalid_argument("CacheParams: " + name
+                                    + " is smaller than one set");
+}
+
 SetAssocCache::SetAssocCache(CacheParams params)
     : params_(std::move(params))
 {
-    CXLMEMO_ASSERT(params_.assoc > 0, "zero associativity");
-    CXLMEMO_ASSERT(params_.sizeBytes >= cachelineBytes * params_.assoc,
-                   "cache smaller than one set");
+    params_.validate();
     const auto raw_sets = static_cast<std::uint32_t>(
         params_.sizeBytes / (cachelineBytes * params_.assoc));
     // Power-of-two sets keep indexing a mask, like real hardware.
     numSets_ = roundDownPow2(raw_sets);
-    lines_.resize(static_cast<std::size_t>(numSets_) * params_.assoc);
+    tags_.resize(static_cast<std::size_t>(numSets_) * params_.assoc);
+    order_.resize(numSets_);
+    for (std::uint64_t w = 0; w < params_.assoc; ++w)
+        identity_ |= w << (4 * w);
 }
 
 std::uint32_t
@@ -39,32 +56,55 @@ SetAssocCache::setOf(std::uint64_t lineAddr) const
     return static_cast<std::uint32_t>(mixed & (numSets_ - 1));
 }
 
-SetAssocCache::Line *
+std::uint32_t
+SetAssocCache::wayOf(std::uint32_t set, std::uint64_t lineAddr) const
+{
+    const std::uint64_t *base =
+        &tags_[static_cast<std::size_t>(set) * params_.assoc];
+    std::uint32_t w = 0;
+    for (; w < params_.assoc; ++w) {
+        if ((base[w] >> addrShift) == lineAddr && (base[w] & stateMask) != 0)
+            break;
+    }
+    return w;
+}
+
+void
+SetAssocCache::touch(std::uint32_t set, std::uint32_t way)
+{
+    const std::uint64_t order = order_[set] ^ identity_;
+    // Find the way's nibble: the lowest zero nibble of order ^ way.
+    // Nibbles at and above assoc are zero in order, so they cannot
+    // match before the way's own position does.
+    const std::uint64_t x = order ^ (way * nibbleOnes);
+    const std::uint64_t zeros =
+        (x - nibbleOnes) & ~x & (nibbleOnes << 3);
+    const unsigned pos =
+        static_cast<unsigned>(std::countr_zero(zeros)) & ~3u;
+    // Close the gap, then append the way as the MRU nibble.
+    const std::uint64_t below = (std::uint64_t(1) << pos) - 1;
+    const std::uint64_t next =
+        (order & below) | ((order >> 4) & ~below)
+        | (std::uint64_t(way) << (4 * (params_.assoc - 1)));
+    order_[set] = next ^ identity_;
+}
+
+SetAssocCache::LineRef
 SetAssocCache::find(std::uint64_t lineAddr)
 {
     const std::uint32_t set = setOf(lineAddr);
-    Line *base = &lines_[static_cast<std::size_t>(set) * params_.assoc];
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        Line &line = base[w];
-        if (line.state != LineState::Invalid && line.tag == lineAddr) {
-            line.lastUse = ++useClock_;
-            return &line;
-        }
-    }
-    return nullptr;
+    const std::uint32_t way = wayOf(set, lineAddr);
+    if (way == params_.assoc)
+        return LineRef(nullptr);
+    touch(set, way);
+    return LineRef(
+        &tags_[static_cast<std::size_t>(set) * params_.assoc + way]);
 }
 
-const SetAssocCache::Line *
+bool
 SetAssocCache::peek(std::uint64_t lineAddr) const
 {
-    const std::uint32_t set = setOf(lineAddr);
-    const Line *base = &lines_[static_cast<std::size_t>(set) * params_.assoc];
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        const Line &line = base[w];
-        if (line.state != LineState::Invalid && line.tag == lineAddr)
-            return &line;
-    }
-    return nullptr;
+    return wayOf(setOf(lineAddr), lineAddr) != params_.assoc;
 }
 
 std::optional<SetAssocCache::Victim>
@@ -72,42 +112,46 @@ SetAssocCache::insert(std::uint64_t lineAddr, LineState state,
                       std::uint16_t owner, bool prefetched)
 {
     CXLMEMO_ASSERT(state != LineState::Invalid, "inserting invalid line");
+    CXLMEMO_ASSERT(lineAddr >> lineAddrBits == 0,
+                   "line address %#llx wider than a %u-bit tag",
+                   static_cast<unsigned long long>(lineAddr),
+                   lineAddrBits);
     const std::uint32_t set = setOf(lineAddr);
-    Line *base = &lines_[static_cast<std::size_t>(set) * params_.assoc];
+    std::uint64_t *base =
+        &tags_[static_cast<std::size_t>(set) * params_.assoc];
+    const std::uint64_t packed = lineAddr << addrShift
+                                 | std::uint64_t(owner) << ownerShift
+                                 | static_cast<std::uint64_t>(state);
 
-    Line *slot = nullptr;
-    Line *lru = &base[0];
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        Line &line = base[w];
-        if (line.state == LineState::Invalid) {
-            slot = &line;
+    // The scan stops at the first invalid way: a copy of the line
+    // beyond it is not seen, and the new one goes into that hole.
+    std::uint32_t way = 0;
+    for (; way < params_.assoc; ++way) {
+        const std::uint64_t tag = base[way];
+        if ((tag & stateMask) == 0)
             break;
-        }
-        if (line.state != LineState::Invalid && line.tag == lineAddr) {
+        if ((tag >> addrShift) == lineAddr) {
             // Re-insert of a present line: just merge the state.
-            line.state = state;
-            line.lastUse = ++useClock_;
-            line.owner = owner;
+            base[way] = packed | (tag & prefetchedBit);
+            touch(set, way);
             return std::nullopt;
         }
-        if (line.lastUse < lru->lastUse)
-            lru = &line;
     }
 
     std::optional<Victim> victim;
-    if (!slot) {
-        victim = Victim{lru->tag, lru->state, lru->owner};
+    if (way == params_.assoc) {
+        way = static_cast<std::uint32_t>((order_[set] ^ identity_) & 0xf);
+        const std::uint64_t tag = base[way];
+        victim = Victim{tag >> addrShift,
+                        static_cast<LineState>(tag & stateMask),
+                        static_cast<std::uint16_t>(tag >> ownerShift)};
         stats_.evictions++;
-        if (lru->state == LineState::Modified)
+        if (victim->state == LineState::Modified)
             stats_.dirtyEvictions++;
-        slot = lru;
     }
 
-    slot->tag = lineAddr;
-    slot->state = state;
-    slot->lastUse = ++useClock_;
-    slot->owner = owner;
-    slot->prefetched = prefetched;
+    base[way] = packed | (prefetched ? prefetchedBit : 0);
+    touch(set, way);
     return victim;
 }
 
@@ -115,23 +159,21 @@ LineState
 SetAssocCache::invalidate(std::uint64_t lineAddr)
 {
     const std::uint32_t set = setOf(lineAddr);
-    Line *base = &lines_[static_cast<std::size_t>(set) * params_.assoc];
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        Line &line = base[w];
-        if (line.state != LineState::Invalid && line.tag == lineAddr) {
-            const LineState prior = line.state;
-            line.state = LineState::Invalid;
-            return prior;
-        }
-    }
-    return LineState::Invalid;
+    const std::uint32_t way = wayOf(set, lineAddr);
+    if (way == params_.assoc)
+        return LineState::Invalid;
+    std::uint64_t &tag =
+        tags_[static_cast<std::size_t>(set) * params_.assoc + way];
+    const auto prior = static_cast<LineState>(tag & stateMask);
+    tag = 0;
+    return prior;
 }
 
 void
 SetAssocCache::flushAll()
 {
-    for (Line &line : lines_)
-        line.state = LineState::Invalid;
+    std::fill(tags_.begin(), tags_.end(), 0);
+    std::fill(order_.begin(), order_.end(), 0);
 }
 
 } // namespace cxlmemo

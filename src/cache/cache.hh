@@ -36,11 +36,19 @@ enum class LineState : std::uint8_t
 /** Geometry and timing of one cache level. */
 struct CacheParams
 {
+    /** Most ways a set can hold: the LRU order word ranks sixteen
+     *  4-bit way indices. */
+    static constexpr std::uint32_t maxAssoc = 16;
+
     std::string name = "cache";
     std::uint64_t sizeBytes = 48 * kiB;
     std::uint32_t assoc = 12;
     /** Incremental lookup/hit latency contributed by this level. */
     Tick latency = ticksFromNs(2.5);
+
+    /** Throws std::invalid_argument unless 1 <= assoc <= maxAssoc and
+     *  sizeBytes holds at least one set. */
+    void validate() const;
 };
 
 /** Hit/miss counters for one cache level. */
@@ -64,20 +72,57 @@ struct CacheStats
 /**
  * The tag array of one cache. Addresses are line-granular
  * ("line address" = physical address >> 6).
+ *
+ * The store is two flat arrays of 64-bit words, zero at construction
+ * (DESIGN.md §9 "Tag store"):
+ *  - one tag word per way: lineAddr << 20 | owner << 4 |
+ *    prefetched << 2 | state, where state 0 is LineState::Invalid;
+ *  - one order word per set: the set's way indices as 4-bit nibbles,
+ *    least recently used in the low nibble. It is stored XORed with
+ *    the identity order, so a zero word reads as ways 0, 1, 2, ...
+ *
+ * Replacement is exact LRU over "found or inserted": the victim of a
+ * full set is the way least recently returned by find() or written
+ * by insert().
  */
 class SetAssocCache
 {
+    static constexpr std::uint64_t stateMask = 0x3;
+    static constexpr std::uint64_t prefetchedBit = 0x4;
+    static constexpr unsigned ownerShift = 4;
+    static constexpr unsigned addrShift = 20;
+
   public:
-    struct Line
+    /** Widest line address a tag word holds. */
+    static constexpr unsigned lineAddrBits = 64 - addrShift;
+
+    /** Handle on one present line's tag word; false when absent. */
+    class LineRef
     {
-        std::uint64_t tag = ~std::uint64_t(0);
-        LineState state = LineState::Invalid;
-        std::uint64_t lastUse = 0;
-        /** Core that installed the line (inclusive-directory hint so
-         *  back-invalidation does not scan every core). */
-        std::uint16_t owner = 0;
+      public:
+        explicit operator bool() const { return tag_ != nullptr; }
+
+        LineState
+        state() const
+        {
+            return static_cast<LineState>(*tag_ & stateMask);
+        }
+
+        void
+        setState(LineState s)
+        {
+            *tag_ = (*tag_ & ~stateMask) | static_cast<std::uint64_t>(s);
+        }
+
         /** Set by the prefetcher; cleared on first demand hit. */
-        bool prefetched = false;
+        bool prefetched() const { return (*tag_ & prefetchedBit) != 0; }
+        void clearPrefetched() { *tag_ &= ~prefetchedBit; }
+
+      private:
+        friend class SetAssocCache;
+        explicit LineRef(std::uint64_t *tag) : tag_(tag) {}
+
+        std::uint64_t *tag_;
     };
 
     /** A valid line displaced by insert(). */
@@ -85,26 +130,33 @@ class SetAssocCache
     {
         std::uint64_t lineAddr;
         LineState state;
+        /** Core that installed the line (inclusive-directory hint so
+         *  back-invalidation does not scan every core). */
         std::uint16_t owner;
     };
 
+    /** @throw std::invalid_argument on a bad geometry. */
     explicit SetAssocCache(CacheParams params);
 
-    /** @return the line if present (and update LRU), else nullptr. */
-    Line *find(std::uint64_t lineAddr);
+    /** @return the first matching way (and make it MRU), or a false
+     *  handle. */
+    LineRef find(std::uint64_t lineAddr);
 
     /** Presence probe without LRU update. */
-    const Line *peek(std::uint64_t lineAddr) const;
+    bool peek(std::uint64_t lineAddr) const;
 
     /**
-     * Install a line, possibly displacing the set's LRU victim.
+     * Install a line in the set's first invalid way, or in place of
+     * the set's LRU way when it is full. A line already present
+     * before the first invalid way is updated in place (state and
+     * owner; its prefetched bit is kept).
      * @return the displaced valid line, if any.
      */
     std::optional<Victim> insert(std::uint64_t lineAddr, LineState state,
                                  std::uint16_t owner,
                                  bool prefetched = false);
 
-    /** Remove a line; @return its prior state. */
+    /** Remove the first matching line; @return its prior state. */
     LineState invalidate(std::uint64_t lineAddr);
 
     const CacheParams &params() const { return params_; }
@@ -118,11 +170,16 @@ class SetAssocCache
 
   private:
     std::uint32_t setOf(std::uint64_t lineAddr) const;
+    /** Way holding @p lineAddr in @p set, or assoc if none. */
+    std::uint32_t wayOf(std::uint32_t set, std::uint64_t lineAddr) const;
+    /** Make @p way the most recently used way of @p set. */
+    void touch(std::uint32_t set, std::uint32_t way);
 
     CacheParams params_;
     std::uint32_t numSets_;
-    std::vector<Line> lines_; //!< numSets_ * assoc, set-major
-    std::uint64_t useClock_ = 0;
+    std::vector<std::uint64_t> tags_;  //!< numSets_ * assoc, set-major
+    std::vector<std::uint64_t> order_; //!< one per set, ^ identity_
+    std::uint64_t identity_ = 0;       //!< nibble i holds way i
     CacheStats stats_;
 };
 

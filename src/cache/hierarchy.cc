@@ -97,8 +97,8 @@ CacheHierarchy::fillL1(std::uint16_t core, std::uint64_t la, LineState st,
     auto victim = l1_[core].insert(la, st, core);
     if (victim && victim->state == LineState::Modified) {
         // Merge dirty data down into L2 (inclusive: normally present).
-        if (auto *l2line = l2_[core].find(victim->lineAddr)) {
-            l2line->state = LineState::Modified;
+        if (auto l2line = l2_[core].find(victim->lineAddr)) {
+            l2line.setState(LineState::Modified);
         } else {
             writebackLine(victim->lineAddr, core, at);
         }
@@ -116,9 +116,9 @@ CacheHierarchy::fillL2(std::uint16_t core, std::uint64_t la, LineState st,
     const LineState l1st = l1_[core].invalidate(victim->lineAddr);
     const bool dirty = victim->state == LineState::Modified
                        || l1st == LineState::Modified;
-    if (auto *llcline = llc_->find(victim->lineAddr)) {
+    if (auto llcline = llc_->find(victim->lineAddr)) {
         if (dirty)
-            llcline->state = LineState::Modified;
+            llcline.setState(LineState::Modified);
     } else if (dirty) {
         writebackLine(victim->lineAddr, core, at);
     }
@@ -298,16 +298,16 @@ CacheHierarchy::load(std::uint16_t core, Addr paddr, Tick at, Done cb,
     l1.stats().misses++;
 
     lat += params_.l2.latency;
-    if (auto *line = l2.find(la)) {
+    if (auto line = l2.find(la)) {
         l2.stats().hits++;
-        if (params_.prefetchEnabled && line->prefetched) {
-            line->prefetched = false;
+        if (params_.prefetchEnabled && line.prefetched()) {
+            line.clearPrefetched();
             pfStats_.usefulHits++;
             observeForPrefetch(core, la, at + lat);
         }
         fillL1(core, la,
-               line->state == LineState::Modified ? LineState::Modified
-                                                  : LineState::Exclusive,
+               line.state() == LineState::Modified ? LineState::Modified
+                                                   : LineState::Exclusive,
                at + lat);
         notePoisonHit(la);
         if (station_)
@@ -320,9 +320,9 @@ CacheHierarchy::load(std::uint16_t core, Addr paddr, Tick at, Done cb,
         observeForPrefetch(core, la, at + lat);
 
     lat += params_.llc.latency;
-    if (auto *line = llc_->find(la)) {
+    if (auto line = llc_->find(la)) {
         llc_->stats().hits++;
-        const LineState st = line->state == LineState::Modified
+        const LineState st = line.state() == LineState::Modified
                                  ? LineState::Modified
                                  : LineState::Exclusive;
         fillL2(core, la, st, at + lat);
@@ -353,9 +353,9 @@ CacheHierarchy::store(std::uint16_t core, Addr paddr, Tick at, Done cb,
     SetAssocCache &l2 = l2_[core];
 
     Tick lat = params_.l1.latency;
-    if (auto *line = l1.find(la)) {
+    if (auto line = l1.find(la)) {
         l1.stats().hits++;
-        line->state = LineState::Modified;
+        line.setState(LineState::Modified);
         if (station_)
             station_->passThrough(0, at + lat - issued,
                                   at + lat - issued, false, at + lat);
@@ -364,12 +364,12 @@ CacheHierarchy::store(std::uint16_t core, Addr paddr, Tick at, Done cb,
     l1.stats().misses++;
 
     lat += params_.l2.latency;
-    if (auto *line = l2.find(la)) {
+    if (auto line = l2.find(la)) {
         l2.stats().hits++;
-        const bool was_dirty = line->state == LineState::Modified;
+        const bool was_dirty = line.state() == LineState::Modified;
         fillL1(core, la, LineState::Modified, at + lat);
         if (was_dirty)
-            line->state = LineState::Exclusive; // dirtiness moved to L1
+            line.setState(LineState::Exclusive); // dirtiness moved to L1
         if (station_)
             station_->passThrough(0, at + lat - issued,
                                   at + lat - issued, false, at + lat);
@@ -489,17 +489,11 @@ CacheHierarchy::clwb(std::uint16_t core, Addr paddr, Tick at, Done cb)
 {
     const std::uint64_t la = lineOf(paddr);
     bool dirty = false;
-    if (auto *l = l1_[core].find(la); l && l->state == LineState::Modified) {
-        l->state = LineState::Exclusive;
-        dirty = true;
-    }
-    if (auto *l = l2_[core].find(la); l && l->state == LineState::Modified) {
-        l->state = LineState::Exclusive;
-        dirty = true;
-    }
-    if (auto *l = llc_->find(la); l && l->state == LineState::Modified) {
-        l->state = LineState::Exclusive;
-        dirty = true;
+    for (SetAssocCache *c : {&l1_[core], &l2_[core], llc_.get()}) {
+        if (auto l = c->find(la); l && l.state() == LineState::Modified) {
+            l.setState(LineState::Exclusive);
+            dirty = true;
+        }
     }
     const Tick lookup = at + params_.l1.latency + params_.l2.latency
                         + params_.llc.latency;

@@ -36,11 +36,17 @@ Watchdog::arm()
 {
     if (armed_ || tripped_)
         return;
-    armed_ = true;
     // Fresh baseline: progress made while disarmed must not be
     // mistaken for progress within the next interval, and vice versa.
     lastRetired_ = totalRetired();
     strikes_ = 0;
+    scheduleSnapshot();
+}
+
+void
+Watchdog::scheduleSnapshot()
+{
+    armed_ = true;
     clock_.after(params_.interval, [this] { snapshot(); });
 }
 
@@ -82,7 +88,7 @@ Watchdog::snapshot()
         strikes_ = 0;
     }
     lastRetired_ = retired;
-    arm();
+    scheduleSnapshot();
 }
 
 void

@@ -133,6 +133,8 @@ class Watchdog
      * Schedule the next snapshot if none is pending. Call after
      * construction and again whenever new work is started after the
      * event queue quiesced (the watchdog stands down at quiesce).
+     * Arming takes a fresh progress baseline and clears the strike
+     * count; the snapshot cycle itself keeps counting strikes.
      */
     void arm();
 
@@ -142,6 +144,8 @@ class Watchdog
     bool armed() const { return armed_; }
 
   private:
+    /** Schedule the next snapshot, keeping the strike count. */
+    void scheduleSnapshot();
     void snapshot();
     /** The queue drained with a snapshot pending: stand down, or trip
      *  if work is still outstanding (nothing can ever complete it). */

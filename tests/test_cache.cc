@@ -1,11 +1,14 @@
 /**
  * @file
  * Tests for the set-associative cache and the three-level hierarchy:
- * hit/miss behaviour, LRU, RFO semantics, writeback traffic,
- * inclusivity, flush instructions and the stream prefetcher.
+ * hit/miss behaviour, LRU (checked against the unpacked lastUse
+ * algorithm on random operation sequences), RFO semantics, writeback
+ * traffic, inclusivity, flush instructions and the stream prefetcher.
  */
 
 #include <gtest/gtest.h>
+
+#include <random>
 
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
@@ -21,10 +24,10 @@ namespace
 TEST(SetAssocCache, MissThenHit)
 {
     SetAssocCache c({"c", 4 * kiB, 4, ticksFromNs(1.0)});
-    EXPECT_EQ(c.find(100), nullptr);
+    EXPECT_FALSE(c.find(100));
     c.insert(100, LineState::Exclusive, 0);
-    ASSERT_NE(c.find(100), nullptr);
-    EXPECT_EQ(c.find(100)->state, LineState::Exclusive);
+    ASSERT_TRUE(c.find(100));
+    EXPECT_EQ(c.find(100).state(), LineState::Exclusive);
 }
 
 TEST(SetAssocCache, LruEvictsOldest)
@@ -41,12 +44,12 @@ TEST(SetAssocCache, LruEvictsOldest)
     for (int i = 0; i < 4; ++i)
         EXPECT_FALSE(c.insert(addrs[i], LineState::Exclusive, 0));
     // Touch line 0 to refresh it; then line 1 is the LRU victim.
-    EXPECT_NE(c.find(addrs[0]), nullptr);
+    EXPECT_TRUE(c.find(addrs[0]));
     auto victim = c.insert(addrs[4], LineState::Exclusive, 0);
     ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(victim->lineAddr, addrs[1]);
-    EXPECT_NE(c.find(addrs[0]), nullptr);
-    EXPECT_EQ(c.find(addrs[1]), nullptr);
+    EXPECT_TRUE(c.find(addrs[0]));
+    EXPECT_FALSE(c.find(addrs[1]));
 }
 
 TEST(SetAssocCache, InvalidateReturnsPriorState)
@@ -55,7 +58,7 @@ TEST(SetAssocCache, InvalidateReturnsPriorState)
     c.insert(42, LineState::Modified, 3);
     EXPECT_EQ(c.invalidate(42), LineState::Modified);
     EXPECT_EQ(c.invalidate(42), LineState::Invalid);
-    EXPECT_EQ(c.find(42), nullptr);
+    EXPECT_FALSE(c.find(42));
 }
 
 TEST(SetAssocCache, ReinsertMergesState)
@@ -63,7 +66,7 @@ TEST(SetAssocCache, ReinsertMergesState)
     SetAssocCache c({"c", 4 * kiB, 4, ticksFromNs(1.0)});
     c.insert(42, LineState::Exclusive, 0);
     EXPECT_FALSE(c.insert(42, LineState::Modified, 0).has_value());
-    EXPECT_EQ(c.find(42)->state, LineState::Modified);
+    EXPECT_EQ(c.find(42).state(), LineState::Modified);
 }
 
 TEST(SetAssocCache, FlushAllEmptiesEverything)
@@ -73,8 +76,205 @@ TEST(SetAssocCache, FlushAllEmptiesEverything)
         c.insert(i, LineState::Exclusive, 0);
     c.flushAll();
     for (std::uint64_t i = 0; i < 64; ++i)
-        EXPECT_EQ(c.find(i), nullptr);
+        EXPECT_FALSE(c.find(i));
 }
+
+TEST(SetAssocCacheDeathTest, LineAddressWiderThanTheTagAborts)
+{
+    SetAssocCache c({"c", 4 * kiB, 4, ticksFromNs(1.0)});
+    const std::uint64_t widest =
+        (std::uint64_t(1) << SetAssocCache::lineAddrBits) - 1;
+    c.insert(widest, LineState::Exclusive, 0);
+    EXPECT_TRUE(c.find(widest));
+    EXPECT_DEATH(c.insert(widest + 1, LineState::Exclusive, 0),
+                 "wider than a 44-bit tag");
+}
+
+/**
+ * Reference model: one 32-byte line per way and a global use clock;
+ * the victim of a full set is the line with the least lastUse. The
+ * packed store must make exactly the same decisions.
+ */
+class LastUseReference
+{
+  public:
+    struct Line
+    {
+        std::uint64_t tag = ~std::uint64_t(0);
+        LineState state = LineState::Invalid;
+        std::uint64_t lastUse = 0;
+        std::uint16_t owner = 0;
+        bool prefetched = false;
+    };
+
+    LastUseReference(std::uint32_t sets, std::uint32_t assoc)
+        : sets_(sets), assoc_(assoc), lines_(sets * assoc)
+    {
+    }
+
+    Line *
+    find(std::uint64_t la)
+    {
+        Line *base = set(la);
+        for (Line *l = base; l != base + assoc_; ++l) {
+            if (l->state != LineState::Invalid && l->tag == la) {
+                l->lastUse = ++useClock_;
+                return l;
+            }
+        }
+        return nullptr;
+    }
+
+    bool
+    peek(std::uint64_t la)
+    {
+        Line *base = set(la);
+        for (Line *l = base; l != base + assoc_; ++l) {
+            if (l->state != LineState::Invalid && l->tag == la)
+                return true;
+        }
+        return false;
+    }
+
+    std::optional<SetAssocCache::Victim>
+    insert(std::uint64_t la, LineState state, std::uint16_t owner,
+           bool prefetched)
+    {
+        Line *base = set(la);
+        Line *slot = nullptr;
+        Line *lru = &base[0];
+        for (Line *l = base; l != base + assoc_; ++l) {
+            if (l->state == LineState::Invalid) {
+                slot = l;
+                break;
+            }
+            if (l->tag == la) {
+                l->state = state;
+                l->lastUse = ++useClock_;
+                l->owner = owner;
+                return std::nullopt;
+            }
+            if (l->lastUse < lru->lastUse)
+                lru = l;
+        }
+        std::optional<SetAssocCache::Victim> victim;
+        if (!slot) {
+            victim = SetAssocCache::Victim{lru->tag, lru->state, lru->owner};
+            slot = lru;
+        }
+        *slot = Line{la, state, ++useClock_, owner, prefetched};
+        return victim;
+    }
+
+    LineState
+    invalidate(std::uint64_t la)
+    {
+        Line *base = set(la);
+        for (Line *l = base; l != base + assoc_; ++l) {
+            if (l->state != LineState::Invalid && l->tag == la) {
+                const LineState prior = l->state;
+                l->state = LineState::Invalid;
+                return prior;
+            }
+        }
+        return LineState::Invalid;
+    }
+
+    void
+    flushAll()
+    {
+        for (Line &l : lines_)
+            l.state = LineState::Invalid;
+    }
+
+  private:
+    Line *
+    set(std::uint64_t la)
+    {
+        const std::uint64_t mixed = la ^ (la >> 17);
+        return &lines_[(mixed & (sets_ - 1)) * assoc_];
+    }
+
+    std::uint32_t sets_;
+    std::uint32_t assoc_;
+    std::vector<Line> lines_;
+    std::uint64_t useClock_ = 0;
+};
+
+class SetAssocCacheDifferential
+    : public ::testing::TestWithParam<std::uint32_t>
+{
+};
+
+TEST_P(SetAssocCacheDifferential, MatchesLastUseReference)
+{
+    const std::uint32_t ways = GetParam();
+    for (const std::uint32_t sets : {1u, 8u}) {
+        SetAssocCache c({"c", std::uint64_t(sets) * ways * cachelineBytes,
+                         ways, 0});
+        ASSERT_EQ(c.numSets(), sets);
+        LastUseReference ref(sets, ways);
+        // A pool of twice the capacity: hits, misses and evictions
+        // all stay common. Half the addresses use the full tag width.
+        std::mt19937_64 rng(ways * 1000 + sets);
+        std::vector<std::uint64_t> pool(2 * sets * ways);
+        for (std::size_t i = 0; i < pool.size(); ++i) {
+            pool[i] = i % 2 ? rng() >> (64 - SetAssocCache::lineAddrBits)
+                            : i;
+        }
+        std::uint64_t evictions = 0;
+        std::uint64_t dirty = 0;
+        for (int step = 0; step < 100000; ++step) {
+            if (step % 4096 == 4095) {
+                c.flushAll();
+                ref.flushAll();
+                continue;
+            }
+            const std::uint64_t la = pool[rng() % pool.size()];
+            const auto st = static_cast<LineState>(1 + rng() % 3);
+            const std::uint32_t op = rng() % 100;
+            if (op < 35) {
+                const auto owner = static_cast<std::uint16_t>(rng());
+                const bool pf = rng() % 2;
+                const auto got = c.insert(la, st, owner, pf);
+                const auto want = ref.insert(la, st, owner, pf);
+                ASSERT_EQ(got.has_value(), want.has_value()) << step;
+                if (want) {
+                    ASSERT_EQ(got->lineAddr, want->lineAddr) << step;
+                    ASSERT_EQ(got->state, want->state) << step;
+                    ASSERT_EQ(got->owner, want->owner) << step;
+                    ++evictions;
+                    dirty += want->state == LineState::Modified;
+                }
+            } else if (op < 85) {
+                auto got = c.find(la);
+                auto *want = ref.find(la);
+                ASSERT_EQ(bool(got), want != nullptr) << step;
+                if (!want)
+                    continue;
+                ASSERT_EQ(got.state(), want->state) << step;
+                ASSERT_EQ(got.prefetched(), want->prefetched) << step;
+                if (op >= 72) {
+                    got.clearPrefetched();
+                    want->prefetched = false;
+                } else if (op >= 60) {
+                    got.setState(st);
+                    want->state = st;
+                }
+            } else if (op < 92) {
+                ASSERT_EQ(c.peek(la), ref.peek(la)) << step;
+            } else {
+                ASSERT_EQ(c.invalidate(la), ref.invalidate(la)) << step;
+            }
+        }
+        EXPECT_EQ(c.stats().evictions, evictions);
+        EXPECT_EQ(c.stats().dirtyEvictions, dirty);
+        EXPECT_GT(evictions, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ways, SetAssocCacheDifferential,
+                         ::testing::Values(1u, 2u, 4u, 12u, 15u, 16u));
 
 /** Device that counts per-command traffic and completes after 50 ns. */
 class CountingDevice : public MemoryDevice

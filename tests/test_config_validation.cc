@@ -10,6 +10,7 @@
 
 #include <stdexcept>
 
+#include "cache/cache.hh"
 #include "cxl/device.hh"
 #include "cxl/link.hh"
 #include "mem/dram.hh"
@@ -63,6 +64,22 @@ TEST(ConfigValidation, LinkDirectionValidatesAtConstruction)
     CxlLinkParams p;
     p.rawGBps = 0.0;
     EXPECT_THROW(CxlLinkDirection(eq, p), std::invalid_argument);
+}
+
+/* --------------------------- cache ------------------------------- */
+
+TEST(ConfigValidation, CacheRejectsBadGeometry)
+{
+    EXPECT_NO_THROW(CacheParams{}.validate());
+    EXPECT_NO_THROW(SetAssocCache({"c", cachelineBytes * 16, 16, 0}));
+    EXPECT_NO_THROW(SetAssocCache({"c", cachelineBytes * 4, 4, 0}));
+    EXPECT_THROW(SetAssocCache({"c", 4 * kiB, 0, 0}),
+                 std::invalid_argument);
+    EXPECT_THROW(SetAssocCache({"c", 4 * kiB, 17, 0}),
+                 std::invalid_argument);
+    EXPECT_THROW(SetAssocCache({"c", cachelineBytes * 4 - 1, 4, 0}),
+                 std::invalid_argument);
+    EXPECT_THROW(SetAssocCache({"c", 0, 1, 0}), std::invalid_argument);
 }
 
 /* --------------------------- device ------------------------------ */

@@ -373,6 +373,38 @@ TEST(Watchdog, TripsOnLivelockWithinOneInterval)
     EXPECT_NE(report.find("stuck queue: write-wait"), std::string::npos);
 }
 
+TEST(Watchdog, TripsOnLivelockAfterConfiguredStrikes)
+{
+    EventQueue eq;
+    WatchdogParams wp;
+    wp.interval = ticksFromUs(1.0);
+    wp.strikes = 3;
+    Watchdog dog(eq, wp);
+    FakeSource src;
+    src.outstanding = 7; // wedged: work pending, nothing retires
+    dog.watch(&src);
+    std::string report;
+    std::uint64_t tripSnapshot = 0;
+    dog.setOnTrip([&](const std::string &r) {
+        report = r;
+        tripSnapshot = dog.snapshots();
+    });
+
+    // The queue keeps ticking past three intervals, so only the
+    // strike count (not a drained queue) can catch the livelock.
+    for (int i = 1; i <= 100; ++i)
+        eq.scheduleIn(ticksFromNs(100.0 * i), [] {});
+    dog.arm();
+    eq.run();
+
+    ASSERT_TRUE(dog.tripped());
+    EXPECT_EQ(tripSnapshot, 3u);
+    EXPECT_NE(report.find("livelock"), std::string::npos);
+    EXPECT_EQ(report.find("deadlock"), std::string::npos);
+    EXPECT_NE(report.find("no forward progress for 3000 ns"),
+              std::string::npos);
+}
+
 TEST(Watchdog, TripsOnDeadlockWhenQueueDrains)
 {
     EventQueue eq;
