@@ -16,7 +16,7 @@
  *   - with AIMD, achieved bandwidth at every >= 2x-saturation point
  *     stays within 20% of the measured peak sustainable bandwidth
  *
- * `--quick` runs a reduced matrix (for CI smoke under sanitizers).
+ * `--quick` runs a reduced matrix (the `bench_overload_quick` ctest).
  * Each sweep point builds an independent Machine, so points run in
  * parallel under --jobs without changing any printed value.
  */

@@ -578,6 +578,23 @@ parseCli(const std::vector<std::string> &rawArgs, std::string &error)
         error = "--pool-spec requires --mode pool";
         return std::nullopt;
     }
+    // One simulated thread per core: a count past the testbed's cores
+    // would abort mid-sweep on the Machine's core assert. The drill
+    // always runs on the CXL testbed.
+    if (cfg.mode == CliMode::Seq || cfg.mode == CliMode::Rand
+        || cfg.mode == CliMode::Loaded || cfg.mode == CliMode::Report
+        || cfg.mode == CliMode::Drill) {
+        const std::uint32_t cores = testbedCores(testbedFor(
+            cfg.mode == CliMode::Drill ? Target::Cxl : cfg.target));
+        for (std::uint32_t t : cfg.threads) {
+            if (t > cores) {
+                error = "thread count " + std::to_string(t)
+                        + " exceeds the testbed's " + std::to_string(cores)
+                        + " cores";
+                return std::nullopt;
+            }
+        }
+    }
     // Flag matrix, rejected up front with one line instead of a
     // mid-run throw: request-lifecycle tracing marks spans across
     // domains, so it needs the classic single-queue engine in every

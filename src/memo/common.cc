@@ -21,16 +21,20 @@ targetName(Target t)
     return "?";
 }
 
+Testbed
+testbedFor(Target target)
+{
+    return target == Target::Ddr5Remote ? Testbed::DualSocket
+                                        : Testbed::SingleSocketCxl;
+}
+
 std::unique_ptr<Machine>
 makeMachine(Target target, bool prefetch, const FaultSpec &faults)
 {
     MachineOptions opts;
     opts.prefetchEnabled = prefetch;
     opts.faults = faults;
-    const Testbed tb = target == Target::Ddr5Remote
-                           ? Testbed::DualSocket
-                           : Testbed::SingleSocketCxl;
-    return std::make_unique<Machine>(tb, opts);
+    return std::make_unique<Machine>(testbedFor(target), opts);
 }
 
 std::unique_ptr<Machine>
@@ -45,10 +49,7 @@ makeMachine(Target target, const Options &opts, bool prefetch)
     mo.simThreads = opts.simThreads;
     if (opts.watchdogUs > 0.0)
         mo.watchdogInterval = ticksFromUs(opts.watchdogUs);
-    const Testbed tb = target == Target::Ddr5Remote
-                           ? Testbed::DualSocket
-                           : Testbed::SingleSocketCxl;
-    return std::make_unique<Machine>(tb, mo);
+    return std::make_unique<Machine>(testbedFor(target), mo);
 }
 
 NodeId

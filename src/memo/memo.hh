@@ -296,6 +296,9 @@ double runCopyBandwidth(CopyPath path, CopyMethod method,
  * Shared helpers (used by the data-movement benchmarks and tests). *
  * --------------------------------------------------------------- */
 
+/** The testbed whose machine hosts @p target. */
+Testbed testbedFor(Target target);
+
 /** Build the machine that hosts @p target. */
 std::unique_ptr<Machine> makeMachine(Target target, bool prefetch,
                                      const FaultSpec &faults = {});

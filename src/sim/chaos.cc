@@ -5,40 +5,14 @@
 
 #include "sim/chaos.hh"
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
+#include "sim/spec.hh"
 #include "sim/statmerge.hh"
 
 namespace cxlmemo
 {
-
-namespace
-{
-
-bool
-parseF(const std::string &v, double &out)
-{
-    if (v.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtod(v.c_str(), &end);
-    return end == v.c_str() + v.size();
-}
-
-bool
-parseU(const std::string &v, std::uint64_t &out)
-{
-    if (v.empty() || v[0] == '-')
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(v.c_str(), &end, 10);
-    return end == v.c_str() + v.size();
-}
-
-} // namespace
 
 const char *
 containPolicyName(ContainPolicy p)
@@ -94,69 +68,43 @@ ChaosSpec::toString() const
 std::optional<ChaosSpec>
 ChaosSpec::parse(const std::string &text, std::string &error)
 {
-    ChaosSpec spec;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        std::size_t comma = text.find(',', pos);
-        if (comma == std::string::npos)
-            comma = text.size();
-        const std::string item = text.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (item.empty())
-            continue;
-        const std::size_t eq = item.find('=');
-        if (eq == std::string::npos) {
-            error = "chaos-spec item needs key=value: " + item;
-            return std::nullopt;
-        }
-        const std::string key = item.substr(0, eq);
-        const std::string value = item.substr(eq + 1);
-        double f = 0.0;
-        std::uint64_t n = 0;
-        if (key == "link-down-at-ns" && parseU(value, n)) {
-            spec.linkDownAtNs = n;
-        } else if (key == "retrain-ns" && parseF(value, f)) {
-            spec.retrainNs = f;
-        } else if (key == "step-up-ns" && parseF(value, f)) {
-            spec.stepUpNs = f;
-        } else if (key == "crc-burst" && parseU(value, n)) {
-            spec.crcBurstTrigger = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(n, 0xffffffffu));
-        } else if (key == "remove-at-ns" && parseU(value, n)) {
-            spec.removeAtNs = n;
-        } else if (key == "readd-at-ns" && parseU(value, n)) {
-            spec.readdAtNs = n;
-        } else if (key == "contain") {
-            if (value == "poison") {
-                spec.contain = ContainPolicy::Poison;
-            } else if (value == "abort") {
-                spec.contain = ContainPolicy::Abort;
-            } else {
-                error = "bad contain policy (poison|abort): " + value;
-                return std::nullopt;
+    return parseSpec<ChaosSpec>(
+        text, "chaos-spec", error,
+        [&error](ChaosSpec &spec, const std::string &key,
+                 const std::string &value) {
+            if (key == "link-down-at-ns")
+                return parseSpecValue(value, spec.linkDownAtNs);
+            if (key == "retrain-ns")
+                return parseSpecValue(value, spec.retrainNs);
+            if (key == "step-up-ns")
+                return parseSpecValue(value, spec.stepUpNs);
+            if (key == "crc-burst")
+                return parseSpecValue(value, spec.crcBurstTrigger);
+            if (key == "remove-at-ns")
+                return parseSpecValue(value, spec.removeAtNs);
+            if (key == "readd-at-ns")
+                return parseSpecValue(value, spec.readdAtNs);
+            if (key == "contain") {
+                if (value == "poison") {
+                    spec.contain = ContainPolicy::Poison;
+                } else if (value == "abort") {
+                    spec.contain = ContainPolicy::Abort;
+                } else {
+                    error = "bad contain policy (poison|abort): " + value;
+                    return false;
+                }
+                return true;
             }
-        } else if (key == "abort-ns" && parseF(value, f)) {
-            spec.abortNs = f;
-        } else if (key == "offline-threshold" && parseU(value, n)) {
-            spec.offlineThreshold = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(n, 0xffffffffu));
-        } else if (key == "max-offline-pages" && parseU(value, n)) {
-            spec.maxOfflinePages = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(n, 0xffffffffu));
-        } else if (key == "seed" && parseU(value, n)) {
-            spec.seed = n;
-        } else {
-            error = "bad chaos-spec item: " + item;
-            return std::nullopt;
-        }
-    }
-    try {
-        spec.validate();
-    } catch (const std::invalid_argument &e) {
-        error = e.what();
-        return std::nullopt;
-    }
-    return spec;
+            if (key == "abort-ns")
+                return parseSpecValue(value, spec.abortNs);
+            if (key == "offline-threshold")
+                return parseSpecValue(value, spec.offlineThreshold);
+            if (key == "max-offline-pages")
+                return parseSpecValue(value, spec.maxOfflinePages);
+            if (key == "seed")
+                return parseSpecValue(value, spec.seed);
+            return false;
+        });
 }
 
 void

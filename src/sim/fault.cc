@@ -1,42 +1,16 @@
 #include "sim/fault.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "sim/logging.hh"
+#include "sim/spec.hh"
 
 namespace cxlmemo
 {
 
 namespace
 {
-
-bool
-parseRate(const std::string &v, double &out)
-{
-    if (v.empty())
-        return false;
-    char *end = nullptr;
-    const double d = std::strtod(v.c_str(), &end);
-    if (end != v.c_str() + v.size())
-        return false;
-    out = d;
-    return true;
-}
-
-bool
-parseU64(const std::string &v, std::uint64_t &out)
-{
-    if (v.empty())
-        return false;
-    char *end = nullptr;
-    const unsigned long long u = std::strtoull(v.c_str(), &end, 10);
-    if (end != v.c_str() + v.size())
-        return false;
-    out = u;
-    return true;
-}
 
 void
 requireRate(double v, const char *what)
@@ -96,66 +70,41 @@ FaultSpec::toString() const
 std::optional<FaultSpec>
 FaultSpec::parse(const std::string &text, std::string &error)
 {
-    FaultSpec spec;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        std::size_t comma = text.find(',', pos);
-        if (comma == std::string::npos)
-            comma = text.size();
-        const std::string item = text.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (item.empty())
-            continue;
-        const std::size_t eq = item.find('=');
-        if (eq == std::string::npos) {
-            error = "fault-spec item needs key=value: " + item;
-            return std::nullopt;
-        }
-        const std::string key = item.substr(0, eq);
-        const std::string value = item.substr(eq + 1);
-        double rate = 0.0;
-        std::uint64_t num = 0;
-        if (key == "crc" && parseRate(value, rate)) {
-            spec.crcPerFlit = rate;
-        } else if (key == "poison" && parseRate(value, rate)) {
-            spec.readPoisonRate = rate;
-        } else if (key == "timeout" && parseRate(value, rate)) {
-            spec.timeoutRate = rate;
-        } else if (key == "drain" && parseRate(value, rate)) {
-            spec.drainStallRate = rate;
-        } else if (key == "dram" && parseRate(value, rate)) {
-            spec.dramStallRate = rate;
-        } else if (key == "stall-ns" && parseRate(value, rate)
-                   && rate >= 0.0) {
-            spec.drainStallTicks = ticksFromNs(rate);
-            spec.dramStallTicks = ticksFromNs(rate);
-        } else if (key == "timeout-ns" && parseRate(value, rate)
-                   && rate > 0.0) {
-            spec.requestTimeout = ticksFromNs(rate);
-        } else if (key == "backoff-ns" && parseRate(value, rate)
-                   && rate > 0.0) {
-            spec.backoffBase = ticksFromNs(rate);
-        } else if (key == "retries" && parseU64(value, num)) {
-            spec.maxHostRetries = static_cast<std::uint32_t>(num);
-        } else if (key == "degrade" && parseU64(value, num)) {
-            spec.degradeBurst = static_cast<std::uint32_t>(num);
-        } else if (key == "degrade-window-ns" && parseRate(value, rate)
-                   && rate > 0.0) {
-            spec.degradeWindow = ticksFromNs(rate);
-        } else if (key == "seed" && parseU64(value, num)) {
-            spec.seed = num;
-        } else {
-            error = "bad fault-spec item: " + item;
-            return std::nullopt;
-        }
-    }
-    try {
-        spec.validate();
-    } catch (const std::invalid_argument &e) {
-        error = e.what();
-        return std::nullopt;
-    }
-    return spec;
+    return parseSpec<FaultSpec>(
+        text, "fault-spec", error,
+        [](FaultSpec &spec, const std::string &key,
+           const std::string &value) {
+            if (key == "crc")
+                return parseSpecValue(value, spec.crcPerFlit);
+            if (key == "poison")
+                return parseSpecValue(value, spec.readPoisonRate);
+            if (key == "timeout")
+                return parseSpecValue(value, spec.timeoutRate);
+            if (key == "drain")
+                return parseSpecValue(value, spec.drainStallRate);
+            if (key == "dram")
+                return parseSpecValue(value, spec.dramStallRate);
+            double ns = 0.0;
+            if (key == "stall-ns" && parseSpecValue(value, ns)
+                && ns >= 0.0) {
+                spec.drainStallTicks = ticksFromNs(ns);
+                spec.dramStallTicks = ticksFromNs(ns);
+                return true;
+            }
+            if (key == "timeout-ns")
+                return parseSpecNs(value, spec.requestTimeout);
+            if (key == "backoff-ns")
+                return parseSpecNs(value, spec.backoffBase);
+            if (key == "retries")
+                return parseSpecValue(value, spec.maxHostRetries);
+            if (key == "degrade")
+                return parseSpecValue(value, spec.degradeBurst);
+            if (key == "degrade-window-ns")
+                return parseSpecNs(value, spec.degradeWindow);
+            if (key == "seed")
+                return parseSpecValue(value, spec.seed);
+            return false;
+        });
 }
 
 void

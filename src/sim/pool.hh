@@ -23,8 +23,9 @@
  *    exits.
  *
  * Accounting: every allocation bumps process-wide counters (relaxed
- * atomics -- exact totals, no ordering needed) that MetricsRegistry
- * exposes as `sim.pool.*`, giving sweeps an alloc-rate signal.
+ * atomics -- exact totals, no ordering needed) and the calling
+ * thread's own count; a Machine's `alloc.pool_allocs` metric reads
+ * one of them, giving sweeps an alloc-rate signal.
  */
 
 #ifndef CXLMEMO_SIM_POOL_HH
@@ -90,6 +91,9 @@ cache()
     return tc;
 }
 
+/** poolAlloc calls made on this thread. */
+inline thread_local std::uint64_t threadAllocs = 0;
+
 constexpr std::size_t
 classOf(std::size_t bytes)
 {
@@ -109,6 +113,7 @@ poolAlloc(std::size_t bytes)
     using namespace pool_detail;
     auto &ctr = counters();
     ctr.allocs.fetch_add(1, std::memory_order_relaxed);
+    ++threadAllocs;
     if (bytes == 0)
         bytes = 1;
     const std::size_t cls = classOf(bytes);
@@ -156,6 +161,13 @@ inline std::uint64_t
 poolAllocCount()
 {
     return pool_detail::counters().allocs.load(std::memory_order_relaxed);
+}
+
+/** poolAlloc calls made on the calling thread. */
+inline std::uint64_t
+poolThreadAllocCount()
+{
+    return pool_detail::threadAllocs;
 }
 
 inline std::uint64_t

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
+
+#include "sim/spec.hh"
 
 namespace cxlmemo
 {
@@ -41,32 +42,6 @@ devLoadName(DevLoad l)
 
 namespace
 {
-
-bool
-parseF(const std::string &v, double &out)
-{
-    if (v.empty())
-        return false;
-    char *end = nullptr;
-    const double d = std::strtod(v.c_str(), &end);
-    if (end != v.c_str() + v.size())
-        return false;
-    out = d;
-    return true;
-}
-
-bool
-parseU(const std::string &v, std::uint64_t &out)
-{
-    if (v.empty())
-        return false;
-    char *end = nullptr;
-    const unsigned long long u = std::strtoull(v.c_str(), &end, 10);
-    if (end != v.c_str() + v.size())
-        return false;
-    out = u;
-    return true;
-}
 
 void
 requireFraction(double v, const char *what)
@@ -123,73 +98,53 @@ QosSpec::toString() const
 std::optional<QosSpec>
 QosSpec::parse(const std::string &text, std::string &error)
 {
-    QosSpec spec;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        std::size_t comma = text.find(',', pos);
-        if (comma == std::string::npos)
-            comma = text.size();
-        const std::string item = text.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (item.empty())
-            continue;
-        const std::size_t eq = item.find('=');
-        if (eq == std::string::npos) {
-            error = "qos-spec item needs key=value: " + item;
-            return std::nullopt;
-        }
-        const std::string key = item.substr(0, eq);
-        const std::string value = item.substr(eq + 1);
-        double f = 0.0;
-        std::uint64_t n = 0;
-        if (key == "credits" && parseU(value, n)) {
-            spec.rdCredits = static_cast<std::uint32_t>(n);
-            spec.wrCredits = static_cast<std::uint32_t>(n);
-        } else if (key == "rd-credits" && parseU(value, n)) {
-            spec.rdCredits = static_cast<std::uint32_t>(n);
-        } else if (key == "wr-credits" && parseU(value, n)) {
-            spec.wrCredits = static_cast<std::uint32_t>(n);
-        } else if (key == "policy") {
-            if (value == "none") {
-                spec.policy = QosPolicy::None;
-            } else if (value == "linear") {
-                spec.policy = QosPolicy::Linear;
-            } else if (value == "aimd") {
-                spec.policy = QosPolicy::Aimd;
-            } else {
-                error = "bad qos policy (none|linear|aimd): " + value;
-                return std::nullopt;
+    return parseSpec<QosSpec>(
+        text, "qos-spec", error,
+        [&error](QosSpec &spec, const std::string &key,
+                 const std::string &value) {
+            std::uint32_t credits = 0;
+            if (key == "credits" && parseSpecValue(value, credits)) {
+                spec.rdCredits = credits;
+                spec.wrCredits = credits;
+                return true;
             }
-        } else if (key == "target" && parseF(value, f)) {
-            spec.target = f;
-        } else if (key == "ewma-ns" && parseF(value, f) && f > 0.0) {
-            spec.ewmaTau = ticksFromNs(f);
-        } else if (key == "period-ns" && parseF(value, f) && f > 0.0) {
-            spec.adjustPeriod = ticksFromNs(f);
-        } else if (key == "ai" && parseF(value, f)) {
-            spec.ai = f;
-        } else if (key == "md" && parseF(value, f)) {
-            spec.md = f;
-        } else if (key == "floor" && parseF(value, f)) {
-            spec.floor = f;
-        } else if (key == "slope" && parseF(value, f)) {
-            spec.slope = f;
-        } else if (key == "burst" && parseU(value, n)) {
-            spec.burstLines = static_cast<std::uint32_t>(n);
-        } else if (key == "line-ns" && parseF(value, f) && f > 0.0) {
-            spec.lineCost = ticksFromNs(f);
-        } else {
-            error = "bad qos-spec item: " + item;
-            return std::nullopt;
-        }
-    }
-    try {
-        spec.validate();
-    } catch (const std::invalid_argument &e) {
-        error = e.what();
-        return std::nullopt;
-    }
-    return spec;
+            if (key == "rd-credits")
+                return parseSpecValue(value, spec.rdCredits);
+            if (key == "wr-credits")
+                return parseSpecValue(value, spec.wrCredits);
+            if (key == "policy") {
+                if (value == "none") {
+                    spec.policy = QosPolicy::None;
+                } else if (value == "linear") {
+                    spec.policy = QosPolicy::Linear;
+                } else if (value == "aimd") {
+                    spec.policy = QosPolicy::Aimd;
+                } else {
+                    error = "bad qos policy (none|linear|aimd): " + value;
+                    return false;
+                }
+                return true;
+            }
+            if (key == "target")
+                return parseSpecValue(value, spec.target);
+            if (key == "ewma-ns")
+                return parseSpecNs(value, spec.ewmaTau);
+            if (key == "period-ns")
+                return parseSpecNs(value, spec.adjustPeriod);
+            if (key == "ai")
+                return parseSpecValue(value, spec.ai);
+            if (key == "md")
+                return parseSpecValue(value, spec.md);
+            if (key == "floor")
+                return parseSpecValue(value, spec.floor);
+            if (key == "slope")
+                return parseSpecValue(value, spec.slope);
+            if (key == "burst")
+                return parseSpecValue(value, spec.burstLines);
+            if (key == "line-ns")
+                return parseSpecNs(value, spec.lineCost);
+            return false;
+        });
 }
 
 void

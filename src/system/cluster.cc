@@ -8,12 +8,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
 #include "cxl/device.hh"
 #include "sim/logging.hh"
+#include "sim/spec.hh"
 #include "system/machine.hh"
 
 namespace cxlmemo
@@ -36,36 +36,16 @@ fnv(std::uint64_t h, std::uint64_t v)
 }
 
 bool
-parseF(const std::string &v, double &out)
-{
-    if (v.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtod(v.c_str(), &end);
-    return end == v.c_str() + v.size();
-}
-
-bool
-parseU(const std::string &v, std::uint64_t &out)
-{
-    if (v.empty() || v[0] == '-')
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(v.c_str(), &end, 10);
-    return end == v.c_str() + v.size();
-}
-
-bool
 parseHost(const std::string &v, std::int32_t &out)
 {
     if (v == "-1") { // disabled: what toString() prints for "off"
         out = -1;
         return true;
     }
-    std::uint64_t n = 0;
-    if (!parseU(v, n) || n > 0xffff)
+    std::uint16_t n = 0;
+    if (!parseSpecValue(v, n))
         return false;
-    out = static_cast<std::int32_t>(n);
+    out = n;
     return true;
 }
 
@@ -197,99 +177,74 @@ PoolSpec::toString() const
 std::optional<PoolSpec>
 PoolSpec::parse(const std::string &text, std::string &error)
 {
-    PoolSpec spec;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        std::size_t comma = text.find(',', pos);
-        if (comma == std::string::npos)
-            comma = text.size();
-        const std::string item = text.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (item.empty())
-            continue;
-        const std::size_t eq = item.find('=');
-        if (eq == std::string::npos) {
-            error = "pool-spec item needs key=value: " + item;
-            return std::nullopt;
-        }
-        const std::string key = item.substr(0, eq);
-        const std::string value = item.substr(eq + 1);
-        double f = 0.0;
-        std::uint64_t n = 0;
-        std::int32_t h = -1;
-        if (key == "hosts" && parseU(value, n)) {
-            spec.hosts = static_cast<std::uint32_t>(n);
-        } else if (key == "devices" && parseU(value, n)) {
-            spec.devices = static_cast<std::uint32_t>(n);
-        } else if (key == "capacity-mb" && parseU(value, n)) {
-            spec.capacityMb = n;
-        } else if (key == "window-mb" && parseU(value, n)) {
-            spec.windowMb = n;
-        } else if (key == "credits" && parseU(value, n)) {
-            spec.credits = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(n, 0xffffffffu));
-        } else if (key == "arb") {
-            if (value == "rr") {
-                spec.arb = CxlSwitchParams::Arb::RoundRobin;
-            } else if (value == "fixed") {
-                spec.arb = CxlSwitchParams::Arb::Fixed;
-            } else {
-                error = "bad arb (rr|fixed): " + value;
-                return std::nullopt;
+    return parseSpec<PoolSpec>(
+        text, "pool-spec", error,
+        [&error](PoolSpec &spec, const std::string &key,
+                 const std::string &value) {
+            if (key == "hosts")
+                return parseSpecValue(value, spec.hosts);
+            if (key == "devices")
+                return parseSpecValue(value, spec.devices);
+            if (key == "capacity-mb")
+                return parseSpecValue(value, spec.capacityMb);
+            if (key == "window-mb")
+                return parseSpecValue(value, spec.windowMb);
+            if (key == "credits")
+                return parseSpecValue(value, spec.credits);
+            if (key == "arb") {
+                if (value == "rr") {
+                    spec.arb = CxlSwitchParams::Arb::RoundRobin;
+                } else if (value == "fixed") {
+                    spec.arb = CxlSwitchParams::Arb::Fixed;
+                } else {
+                    error = "bad arb (rr|fixed): " + value;
+                    return false;
+                }
+                return true;
             }
-        } else if (key == "ops" && parseU(value, n)) {
-            spec.ops = n;
-        } else if (key == "read-frac" && parseF(value, f)) {
-            spec.readFrac = f;
-        } else if (key == "mlp" && parseU(value, n)) {
-            spec.mlp = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(n, 0xffffffffu));
-        } else if (key == "aggressor" && parseHost(value, h)) {
-            spec.aggressor = h;
-        } else if (key == "crash-host" && parseHost(value, h)) {
-            spec.crashHost = h;
-        } else if (key == "crash-at-ns" && parseF(value, f)) {
-            spec.crashAtNs = f;
-        } else if (key == "fence-check-ns" && parseF(value, f)) {
-            spec.fenceCheckNs = f;
-        } else if (key == "miss-threshold" && parseU(value, n)) {
-            spec.missThreshold = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(n, 0xffffffffu));
-        } else if (key == "scrub-ns-per-mb" && parseF(value, f)) {
-            spec.scrubNsPerMb = f;
-        } else if (key == "contain") {
-            if (value == "poison") {
-                spec.contain = ContainPolicy::Poison;
-            } else if (value == "abort") {
-                spec.contain = ContainPolicy::Abort;
-            } else {
-                error = "bad contain policy (poison|abort): " + value;
-                return std::nullopt;
+            if (key == "ops")
+                return parseSpecValue(value, spec.ops);
+            if (key == "read-frac")
+                return parseSpecValue(value, spec.readFrac);
+            if (key == "mlp")
+                return parseSpecValue(value, spec.mlp);
+            if (key == "aggressor")
+                return parseHost(value, spec.aggressor);
+            if (key == "crash-host")
+                return parseHost(value, spec.crashHost);
+            if (key == "crash-at-ns")
+                return parseSpecValue(value, spec.crashAtNs);
+            if (key == "fence-check-ns")
+                return parseSpecValue(value, spec.fenceCheckNs);
+            if (key == "miss-threshold")
+                return parseSpecValue(value, spec.missThreshold);
+            if (key == "scrub-ns-per-mb")
+                return parseSpecValue(value, spec.scrubNsPerMb);
+            if (key == "contain") {
+                if (value == "poison") {
+                    spec.contain = ContainPolicy::Poison;
+                } else if (value == "abort") {
+                    spec.contain = ContainPolicy::Abort;
+                } else {
+                    error = "bad contain policy (poison|abort): " + value;
+                    return false;
+                }
+                return true;
             }
-        } else if (key == "poison-host" && parseHost(value, h)) {
-            spec.poisonHost = h;
-        } else if (key == "poison-every" && parseU(value, n)) {
-            spec.poisonEvery = n;
-        } else if (key == "port-down-host" && parseHost(value, h)) {
-            spec.portDownHost = h;
-        } else if (key == "port-down-at-ns" && parseF(value, f)) {
-            spec.portDownAtNs = f;
-        } else if (key == "retrain-ns" && parseF(value, f)) {
-            spec.retrainNs = f;
-        } else if (key == "seed" && parseU(value, n)) {
-            spec.seed = n;
-        } else {
-            error = "bad pool-spec item: " + item;
-            return std::nullopt;
-        }
-    }
-    try {
-        spec.validate();
-    } catch (const std::invalid_argument &e) {
-        error = e.what();
-        return std::nullopt;
-    }
-    return spec;
+            if (key == "poison-host")
+                return parseHost(value, spec.poisonHost);
+            if (key == "poison-every")
+                return parseSpecValue(value, spec.poisonEvery);
+            if (key == "port-down-host")
+                return parseHost(value, spec.portDownHost);
+            if (key == "port-down-at-ns")
+                return parseSpecValue(value, spec.portDownAtNs);
+            if (key == "retrain-ns")
+                return parseSpecValue(value, spec.retrainNs);
+            if (key == "seed")
+                return parseSpecValue(value, spec.seed);
+            return false;
+        });
 }
 
 /* ----------------------------- HostDigest ------------------------ */

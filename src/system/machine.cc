@@ -284,11 +284,17 @@ class DomainProxy final : public MemoryDevice
 
 } // namespace
 
+std::uint32_t
+testbedCores(Testbed testbed)
+{
+    return testbed == Testbed::DualSocket ? 40 : 32;
+}
+
 Machine::Machine(Testbed testbed, MachineOptions opts) : testbed_(testbed)
 {
     using namespace testbed_params;
 
-    std::uint32_t cores = 32;
+    std::uint32_t cores = testbedCores(testbed);
     std::uint32_t local_channels = 8;
     std::uint64_t local_capacity = 128 * giB;
     std::uint64_t llc_bytes = 60 * miB;
@@ -301,7 +307,6 @@ Machine::Machine(Testbed testbed, MachineOptions opts) : testbed_(testbed)
         break;
       case Testbed::DualSocket:
         name_ = "2x-spr-8460h+agilex";
-        cores = 40;
         local_capacity = 128 * giB;
         llc_bytes = 105 * miB;
         with_remote = true;
@@ -815,13 +820,18 @@ Machine::registerMetrics()
                      [this] { return chaosStats().offlinedBytes; });
     }
     // Event/callback allocation rate of the simulator itself (the
-    // slab allocator in sim/pool.hh). Machine-relative baseline: the
-    // pool counters are process-wide. Only the allocation count is
-    // registered -- free-list reuse vs. fallback splits depend on
-    // which *worker* frees a cell, which is not thread-count
-    // invariant and would break the determinism contract.
-    m.addCounter("alloc.pool_allocs", [base = poolAllocCount()] {
-        return poolAllocCount() - base;
+    // slab allocator in sim/pool.hh), counted from construction. The
+    // classic engine runs a Machine on one thread, so that thread's
+    // count is this Machine's alone, whatever other sweep points run
+    // beside it under --jobs. The executor spreads a Machine over its
+    // workers and reads the process-wide count. Only the allocation
+    // count is registered -- free-list reuse vs. fallback splits
+    // depend on which *worker* frees a cell, which is not
+    // thread-count invariant and would break the determinism
+    // contract.
+    const auto allocs = exec_ ? poolAllocCount : poolThreadAllocCount;
+    m.addCounter("alloc.pool_allocs", [allocs, base = allocs()] {
+        return allocs() - base;
     });
     if (exec_) {
         m.addCounter("sim.windows", [this] { return exec_->windows(); });

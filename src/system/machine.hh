@@ -54,6 +54,9 @@ enum class Testbed
     SncQuadrantCxl,
 };
 
+/** The cores @p testbed's preset builds: one hardware thread each. */
+std::uint32_t testbedCores(Testbed testbed);
+
 /** Optional knobs applied on top of a testbed preset. */
 struct MachineOptions
 {

@@ -83,6 +83,11 @@ TEST(ChaosSpec, RejectsMalformedInput)
             .has_value());
     EXPECT_FALSE(
         ChaosSpec::parse("max-offline-pages=0", err).has_value());
+    // A value must fit its 32-bit field instead of being clamped.
+    EXPECT_FALSE(
+        ChaosSpec::parse("crc-burst=99999999999", err).has_value());
+    EXPECT_NE(err.find("crc-burst=99999999999"), std::string::npos);
+    EXPECT_FALSE(ChaosSpec::parse("link-down-at-ns=-5", err).has_value());
 }
 
 TEST(ChaosSpec, ValidateThrowsOnBadValues)
@@ -128,6 +133,7 @@ TEST(SpecFuzz, MalformedSpecsNeverCrashAnyParser)
         "hosts", "devices", "capacity-mb", "window-mb", "aggressor",
         "crash-host", "crash-at-ns", "fence-check-ns", "arb", "rr",
         "0",  "1",  "-1", "1e-4", "2.5", "1e309", "nan", "x",
+        "4294967298", "-4294967280",
         "poison|abort", "aimd",   "abort",   "",
         "=",  ",",  "==", ",,",   " ",   "\t",   "%s",  "\xff",
     };
@@ -676,6 +682,31 @@ TEST(Drill, IsDeterministic)
     EXPECT_EQ(a.chaos.pagesOfflined, b.chaos.pagesOfflined);
     EXPECT_EQ(a.chaos.dataAtRiskBytes, b.chaos.dataAtRiskBytes);
     EXPECT_EQ(a.ras.poisonInjected, b.ras.poisonInjected);
+}
+
+// A custom schedule as memo takes it: an early outage, a hot-remove
+// under abort containment and a re-add, over a heavy seeded poison
+// stream that drives page offlining. The poison ledger must balance
+// with the drill's watchdog armed and quiet.
+TEST(Drill, CustomAbortScheduleKeepsInvariant)
+{
+    std::string err;
+    const auto chaos = ChaosSpec::parse(
+        "link-down-at-ns=20000,retrain-ns=1000,step-up-ns=1000,"
+        "remove-at-ns=40000,readd-at-ns=50000,contain=abort,"
+        "offline-threshold=2",
+        err);
+    ASSERT_TRUE(chaos.has_value()) << err;
+    const auto faults = FaultSpec::parse("poison=1e-2,seed=9", err);
+    ASSERT_TRUE(faults.has_value()) << err;
+    memo::Options o;
+    o.chaos = *chaos;
+    o.faults = *faults;
+    const memo::DrillResult r = memo::runDrill(2, o);
+    EXPECT_TRUE(r.invariantOk);
+    EXPECT_FALSE(r.watchdogTripped);
+    EXPECT_GT(r.chaos.abortedReads, 0u);
+    EXPECT_GT(r.chaos.pagesOfflined, 0u);
 }
 
 } // namespace

@@ -77,6 +77,14 @@ TEST(FaultSpec, RejectsOutOfRangeValues)
     EXPECT_FALSE(FaultSpec::parse("retries=0", err).has_value());
     EXPECT_FALSE(FaultSpec::parse("retries=17", err).has_value());
     EXPECT_NE(err.find("[1,16]"), std::string::npos);
+    // A value must fit its field: 2^32 + 1 used to narrow to 1 retry,
+    // and a leading '-' used to wrap around to a huge count.
+    EXPECT_FALSE(
+        FaultSpec::parse("retries=4294967297", err).has_value());
+    EXPECT_NE(err.find("retries=4294967297"), std::string::npos);
+    EXPECT_FALSE(
+        FaultSpec::parse("retries=-4294967295", err).has_value());
+    EXPECT_FALSE(FaultSpec::parse("seed=-1", err).has_value());
 }
 
 TEST(FaultSpec, ValidateThrowsOnBadRates)
@@ -358,6 +366,31 @@ TEST(MachineFaults, ResetStatsClearsRasCounters)
     ASSERT_GT(m.rasStats()->crcErrors, 0u);
     m.resetStats();
     EXPECT_EQ(m.rasStats()->crcErrors, 0u);
+}
+
+// The loaded probe at 4 threads under two fault mixes, with the
+// watchdog at memo's --watchdog interval: recovery must fire (the
+// link replays CRC failures) and the machine must never wedge (the
+// default trip handler aborts the run).
+TEST(MachineFaults, LoadedSweepsRecoverUnderTheWatchdog)
+{
+    for (const char *text : {"crc=1e-4,poison=1e-6,timeout=1e-5",
+                             "crc=1e-3,drain=1e-4,dram=1e-4,degrade=1000"}) {
+        std::string err;
+        const auto spec = FaultSpec::parse(text, err);
+        ASSERT_TRUE(spec.has_value()) << err;
+        memo::Options o;
+        o.faults = *spec;
+        o.watchdogUs = 100.0;
+        bool watched = false;
+        o.onMachineDone = [&watched](Machine &m) {
+            watched = m.watchdog() != nullptr && !m.watchdog()->tripped();
+        };
+        const memo::LoadedLatencyDist d =
+            memo::runLoadedLatencyDist(memo::Target::Cxl, 4, o);
+        EXPECT_GT(d.ras.crcErrors, 0u) << text;
+        EXPECT_TRUE(watched) << text;
+    }
 }
 
 } // namespace

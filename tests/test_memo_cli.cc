@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "memo/cli.hh"
 #include "sim/attribution.hh"
 #include "sim/fabric_attrib.hh"
@@ -625,32 +627,90 @@ TEST(MemoCli, TraceFlagsRequireClassicEngine)
     EXPECT_TRUE(parse({"--mode", "pool", "--trace-out", "t.json"}));
 }
 
+/** memoCliMain's exit code for `memo args...`, with everything it
+ *  wrote to stderr in @p err. */
+int
+runMain(std::vector<std::string> args, std::string &err)
+{
+    args.insert(args.begin(), "memo");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    ::testing::internal::CaptureStderr();
+    const int rc = memoCliMain(static_cast<int>(argv.size()), argv.data());
+    err = ::testing::internal::GetCapturedStderr();
+    return rc;
+}
+
 TEST(MemoCli, UnsupportedObservabilityCombosExit2WithOneLine)
 {
-    // The pool and seq combinations the parallel engine or the tail
-    // depth bound rule out: memoCliMain prints the parse error as one
-    // stderr line and exits 2.
-    const std::vector<std::vector<std::string>> combos = {
+    // Every invocation the parser rules out -- an engine or tail-depth
+    // bound, a malformed spec, a diff-only flag outside diff mode or a
+    // simulation flag inside it: memoCliMain prints the parse error as
+    // one stderr line and exits 2.
+    const std::vector<std::string> seq = {"--mode", "seq", "--target",
+                                          "cxl", "--op", "load"};
+    std::vector<std::vector<std::string>> combos = {
         {"--mode", "pool", "--pool-spec", "hosts=2", "--trace-out",
          "t.json", "--sim-threads", "2"},
         {"--mode", "seq", "--target", "cxl", "--op", "load",
          "--trace-sample", "8", "--sim-threads", "4"},
         {"--mode", "pool", "--pool-spec", "hosts=2", "--tail-trace",
-         "2000"}};
-    for (std::vector<std::string> v : combos) {
-        std::string err;
-        EXPECT_FALSE(parseCli(v, err).has_value()) << v[1];
-        EXPECT_FALSE(err.empty()) << v[1];
-        EXPECT_EQ(err.find('\n'), std::string::npos) << err;
-        v.insert(v.begin(), "memo");
-        std::vector<char *> argv;
-        for (std::string &a : v)
-            argv.push_back(a.data());
-        EXPECT_EQ(memoCliMain(static_cast<int>(argv.size()),
-                              argv.data()),
-                  2)
-            << v[2];
+         "2000"},
+        {"--mode", "loaded", "--target", "cxl", "--fault-spec", "crc=2"},
+        {"diff", "a.csv"},
+        {"diff", "a.csv", "b.csv", "--histograms"},
+        {"diff", "a.csv", "b.csv", "--diff-threshold", "101"}};
+    for (const char *bad : {" ", "", "bogus=1", "link-down-at-ns",
+                            "contain=maybe", "readd-at-ns=5"})
+        combos.push_back({"--mode", "drill", "--chaos-spec", bad});
+    for (const char *bad : {" ", "", "bogus=1", "hosts", "hosts=99",
+                            "contain=maybe", "crash-host=1"})
+        combos.push_back({"--mode", "pool", "--pool-spec", bad});
+    for (const char *bad : {"0", "1025", "x"}) {
+        combos.push_back(seq);
+        combos.back().insert(combos.back().end(), {"--tail-trace", bad});
     }
+    combos.push_back(seq);
+    combos.back().push_back("--json");
+    for (const std::vector<std::string> &v : combos) {
+        std::string what;
+        for (const std::string &a : v)
+            what += " '" + a + "'";
+        std::string err;
+        EXPECT_FALSE(parseCli(v, err).has_value()) << what;
+        EXPECT_FALSE(err.empty()) << what;
+        EXPECT_EQ(err.find('\n'), std::string::npos) << err;
+        EXPECT_EQ(runMain(v, err), 2) << what;
+        EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+        EXPECT_TRUE(!err.empty() && err.back() == '\n') << what;
+    }
+    // An unreadable diff input is a file error, not a usage error.
+    std::string err;
+    EXPECT_EQ(runMain({"diff", "missing.csv", "b.csv"}, err), 1);
+}
+
+TEST(MemoCli, ThreadsCappedAtTheTestbedsCores)
+{
+    // One simulated thread per core: 32 on the CXL testbed, which the
+    // drill always runs on, and 40 on the dual socket behind ddr5-r1.
+    for (const char *mode : {"seq", "rand", "report", "loaded"}) {
+        EXPECT_TRUE(parse({"--mode", mode, "--target", "cxl",
+                           "--threads", "32"}))
+            << mode;
+        std::string err;
+        std::vector<std::string> v{"--mode", mode,      "--target",
+                                   "cxl",    "--threads", "1,33"};
+        EXPECT_FALSE(parseCli(v, err).has_value()) << mode;
+        EXPECT_NE(err.find("32 cores"), std::string::npos) << err;
+    }
+    EXPECT_FALSE(parse({"--mode", "drill", "--threads", "33"}));
+    EXPECT_FALSE(parse({"--mode", "drill", "--target", "ddr5-r1",
+                        "--threads", "33"}));
+    EXPECT_TRUE(parse({"--mode", "rand", "--target", "ddr5-r1",
+                       "--threads", "40"}));
+    EXPECT_FALSE(parse({"--mode", "rand", "--target", "ddr5-r1",
+                        "--threads", "41"}));
 }
 
 TEST(MemoCli, HistogramsAcceptedEverywhereIncludingPool)

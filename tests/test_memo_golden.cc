@@ -18,8 +18,10 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "memo/cli.hh"
@@ -166,6 +168,35 @@ checkCase(const std::string &name, const std::vector<std::string> &args)
         if (a == "--csv")
             expectRectangular(run.out);
     expectGolden(name + ".out", run.out);
+}
+
+/** A --metrics-out timeline conserves: for every (point, metric)
+ *  with a total row, its delta rows sum to that total exactly. */
+void
+expectMetricsConserve(const std::string &csv)
+{
+    std::map<std::pair<std::string, std::string>, long long> delta;
+    std::map<std::pair<std::string, std::string>, long long> total;
+    std::istringstream lines(csv);
+    std::string line;
+    std::getline(lines, line);
+    EXPECT_EQ(line, "point,time_ns,metric,kind,value");
+    while (std::getline(lines, line)) {
+        std::vector<std::string> cell;
+        std::istringstream cells(line);
+        for (std::string c; std::getline(cells, c, ',');)
+            cell.push_back(c);
+        ASSERT_EQ(cell.size(), 5u) << line;
+        const auto key = std::make_pair(cell[0], cell[2]);
+        if (cell[3] == "delta")
+            delta[key] += std::stoll(cell[4]);
+        else if (cell[3] == "total")
+            total[key] = std::stoll(cell[4]);
+    }
+    EXPECT_FALSE(total.empty()) << "no totals emitted";
+    for (const auto &[key, sum] : total)
+        EXPECT_EQ(delta[key], sum)
+            << "point " << key.first << " metric " << key.second;
 }
 
 /** The first @p n cells of every line of @p csv. */
@@ -566,6 +597,7 @@ TEST(MemoGolden, TraceAndMetricsFiles)
     text.clear();
     ASSERT_TRUE(readFile(metrics, text)) << metrics;
     expectGolden("traced.metrics.csv", text);
+    expectMetricsConserve(text);
     std::remove(trace.c_str());
     std::remove(metrics.c_str());
 }
@@ -590,8 +622,54 @@ TEST(MemoGolden, PoolTraceAndMetricsFiles)
     text.clear();
     ASSERT_TRUE(readFile(metrics, text)) << metrics;
     expectGolden("pool_traced.metrics.csv", text);
+    expectMetricsConserve(text);
     std::remove(trace.c_str());
     std::remove(metrics.c_str());
+}
+
+// A sweep with every file sink on: stdout, the trace and the metrics
+// timeline are byte-identical at any --jobs, the timeline conserves
+// at a 1 us interval, and --histograms adds the windowed CXL
+// percentile rows.
+TEST(MemoGolden, TracedSweepIdenticalAcrossJobs)
+{
+    struct Files
+    {
+        CliRun run;
+        std::string trace;
+        std::string metrics;
+    };
+    const auto sweep = [](const std::string &jobs) {
+        const std::string stem = ::testing::TempDir() + "memo_sweep_j"
+                                 + jobs + "_"
+                                 + std::to_string(::getpid());
+        const std::string trace = stem + ".trace.json";
+        const std::string metrics = stem + ".metrics.csv";
+        Files f;
+        f.run = runMemo({"--mode", "seq", "--target", "cxl", "--op",
+                         "load", "--threads", "1,2", "--csv", "--jobs",
+                         jobs, "--trace-out", trace, "--trace-sample",
+                         "1/16", "--metrics-out", metrics,
+                         "--metrics-interval-ns", "1000",
+                         "--histograms"});
+        EXPECT_TRUE(readFile(trace, f.trace)) << trace;
+        EXPECT_TRUE(readFile(metrics, f.metrics)) << metrics;
+        std::remove(trace.c_str());
+        std::remove(metrics.c_str());
+        return f;
+    };
+    const Files one = sweep("1");
+    const Files four = sweep("4");
+    ASSERT_EQ(one.run.rc, 0);
+    ASSERT_EQ(four.run.rc, 0);
+    expectRectangular(one.run.out);
+    EXPECT_EQ(one.run.out, four.run.out);
+    EXPECT_FALSE(one.trace.empty());
+    EXPECT_EQ(one.trace, four.trace);
+    EXPECT_EQ(one.metrics, four.metrics);
+    expectMetricsConserve(one.metrics);
+    EXPECT_NE(one.metrics.find(",lat.cxl.p99,pctl,"), std::string::npos);
+    EXPECT_NE(one.metrics.find(",lat.cxl.p999,pctl,"), std::string::npos);
 }
 
 } // namespace

@@ -111,6 +111,15 @@ TEST(PoolSpec, RejectsBadInput)
     // Aggressor index must name a real host.
     EXPECT_FALSE(PoolSpec::parse("hosts=2,aggressor=5", err)
                      .has_value());
+    err.clear();
+    // A value must fit its 32-bit field: 2^32 + 2 used to narrow to
+    // 2 hosts.
+    EXPECT_FALSE(PoolSpec::parse("hosts=4294967298", err).has_value());
+    EXPECT_NE(err.find("hosts=4294967298"), std::string::npos);
+    // The explicit -1 sentinel still disables a disturbance.
+    const auto off = PoolSpec::parse("aggressor=-1", err);
+    ASSERT_TRUE(off.has_value()) << err;
+    EXPECT_EQ(off->aggressor, -1);
 }
 
 TEST(PoolSpec, DefaultSpecIsCleanAndValid)
@@ -196,10 +205,13 @@ TEST(Pool, AbortContainmentAlsoConvergesAndConserves)
         "contain=abort",
         err);
     ASSERT_TRUE(sp.has_value()) << err;
-    const auto r = runPool(*sp);
+    memo::Options o;
+    o.watchdogUs = 100.0; // memo's --watchdog
+    const auto r = runPool(*sp, o);
     EXPECT_TRUE(r.cluster.hosts[1].fenced);
     EXPECT_TRUE(r.cluster.ledgerOk);
     EXPECT_TRUE(r.isolationOk);
+    EXPECT_FALSE(r.cluster.watchdogTripped) << r.cluster.watchdogReport;
     EXPECT_EQ(r.cluster.hosts[0].digest.ops, 1000u);
 }
 

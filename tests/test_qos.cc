@@ -72,6 +72,11 @@ TEST(QosSpec, ParseRejectsGarbage)
     EXPECT_FALSE(QosSpec::parse("credits=5000", err).has_value());
     EXPECT_FALSE(QosSpec::parse("policy=aimd,md=1.5", err).has_value());
     EXPECT_FALSE(err.empty());
+    // A leading '-' used to wrap around to 16 credits.
+    EXPECT_FALSE(
+        QosSpec::parse("credits=-4294967280", err).has_value());
+    EXPECT_NE(err.find("credits=-4294967280"), std::string::npos);
+    EXPECT_FALSE(QosSpec::parse("burst=4294967304", err).has_value());
 }
 
 /* -------------------------- credit pool --------------------------- */

@@ -528,6 +528,7 @@ TEST(MemoDiff, ImprovementAndNoChangeRegimes)
     memo::DiffOptions opts;
     EXPECT_EQ(memo::diffRuns(a, faster, opts).regime, "improvement");
     EXPECT_EQ(memo::diffRuns(a, same, opts).regime, "no-change");
+    EXPECT_EQ(memo::diffRuns(a, a, opts).regime, "no-change");
     // A tighter threshold turns the same pair into a verdict.
     opts.thresholdPct = 0.1;
     EXPECT_EQ(memo::diffRuns(a, same, opts).regime, "regression");
