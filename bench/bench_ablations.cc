@@ -28,30 +28,13 @@ using namespace cxlmemo;
 namespace
 {
 
-/** Sequential-load bandwidth on the CXL node of a custom machine. */
-double
-cxlSeqLoad(Machine &m, std::uint32_t threads)
+/** Every ablation measures 120 us after the default 30 us warm-up. */
+memo::Options
+window()
 {
-    NumaBuffer buf = m.numa().alloc(std::uint64_t(threads) * 128 * miB,
-                                    MemPolicy::membind(m.cxlNode()));
-    std::vector<std::unique_ptr<HwThread>> pool;
-    for (std::uint32_t t = 0; t < threads; ++t) {
-        pool.push_back(m.makeThread(static_cast<std::uint16_t>(t)));
-        pool.back()->start(
-            std::make_unique<SequentialStream>(
-                buf, std::uint64_t(t) * 128 * miB, 128 * miB,
-                std::uint64_t(1) << 42, MemOp::Kind::Load),
-            m.eq().curTick(), nullptr);
-    }
-    m.eq().runUntil(m.eq().curTick() + ticksFromUs(30));
-    std::uint64_t before = 0;
-    for (auto &t : pool)
-        before += t->stats().bytesRead;
-    m.eq().runUntil(m.eq().curTick() + ticksFromUs(120));
-    std::uint64_t after = 0;
-    for (auto &t : pool)
-        after += t->stats().bytesRead;
-    return gbPerSec(after - before, ticksFromUs(120));
+    memo::Options o;
+    o.measureUs = 120.0;
+    return o;
 }
 
 MachineOptions
@@ -83,7 +66,10 @@ main()
             std::printf("  %-10s", deep ? "imc-grade" : "fpga");
             for (std::uint32_t t : {8u, 16u, 32u}) {
                 Machine m(Testbed::SingleSocketCxl, withCxl(p));
-                std::printf("  %u-thr %5.1f", t, cxlSeqLoad(m, t));
+                std::printf("  %u-thr %5.1f", t,
+                            memo::runSeqBandwidth(m, memo::Target::Cxl,
+                                                  MemOp::Kind::Load, t,
+                                                  window()));
             }
             std::printf("\n");
         }
@@ -99,28 +85,10 @@ main()
             CxlDeviceParams p = testbed_params::agilexCxlDevice();
             p.writeBufferEntries = entries;
             Machine m(Testbed::SingleSocketCxl, withCxl(p));
-            NumaBuffer buf =
-                m.numa().alloc(16ull * 128 * miB,
-                               MemPolicy::membind(m.cxlNode()));
-            std::vector<std::unique_ptr<HwThread>> pool;
-            for (std::uint32_t t = 0; t < 16; ++t) {
-                pool.push_back(m.makeThread(t));
-                pool.back()->start(
-                    std::make_unique<SequentialStream>(
-                        buf, std::uint64_t(t) * 128 * miB, 128 * miB,
-                        std::uint64_t(1) << 42, MemOp::Kind::NtStore),
-                    0, nullptr);
-            }
-            m.eq().runUntil(ticksFromUs(30));
-            std::uint64_t before = 0;
-            for (auto &t : pool)
-                before += t->stats().bytesWritten;
-            m.eq().runUntil(ticksFromUs(150));
-            std::uint64_t after = 0;
-            for (auto &t : pool)
-                after += t->stats().bytesWritten;
             std::printf("  %4u entries: %5.1f GB/s\n", entries,
-                        gbPerSec(after - before, ticksFromUs(120)));
+                        memo::runSeqBandwidth(m, memo::Target::Cxl,
+                                              MemOp::Kind::NtStore, 16,
+                                              window()));
         }
         bench::note("a small FPGA write buffer fragments per-stream "
                     "runs -> the many-writer collapse the paper blames "
@@ -148,29 +116,11 @@ main()
         for (bool scatter : {true, false}) {
             Machine m(Testbed::SingleSocketCxl);
             m.numa().setScatterFrames(m.localNode(), scatter);
-            NumaBuffer buf =
-                m.numa().alloc(16ull * 128 * miB,
-                               MemPolicy::membind(m.localNode()));
-            std::vector<std::unique_ptr<HwThread>> pool;
-            for (std::uint32_t t = 0; t < 16; ++t) {
-                pool.push_back(m.makeThread(t));
-                pool.back()->start(
-                    std::make_unique<SequentialStream>(
-                        buf, std::uint64_t(t) * 128 * miB, 128 * miB,
-                        std::uint64_t(1) << 42, MemOp::Kind::Load),
-                    0, nullptr);
-            }
-            m.eq().runUntil(ticksFromUs(30));
-            std::uint64_t before = 0;
-            for (auto &t : pool)
-                before += t->stats().bytesRead;
-            m.eq().runUntil(ticksFromUs(150));
-            std::uint64_t after = 0;
-            for (auto &t : pool)
-                after += t->stats().bytesRead;
             std::printf("  scatter=%-5s %6.1f GB/s\n",
                         scatter ? "on" : "off",
-                        gbPerSec(after - before, ticksFromUs(120)));
+                        memo::runSeqBandwidth(m, memo::Target::Ddr5Local,
+                                              MemOp::Kind::Load, 16,
+                                              window()));
         }
         bench::note("contiguous frames put every thread's stream in "
                     "bank lockstep -- a pathology real allocators "
@@ -188,28 +138,16 @@ main()
                 Machine m(Testbed::SingleSocketCxl, o);
                 NumaBuffer buf = m.numa().alloc(
                     8ull * 128 * miB, MemPolicy::membind(m.localNode()));
-                std::vector<std::unique_ptr<HwThread>> pool;
-                for (std::uint32_t t = 0; t < 8; ++t) {
-                    pool.push_back(m.makeThread(t));
-                    pool.back()->start(
-                        std::make_unique<RandomBlockStream>(
-                            buf, std::uint64_t(t) * 128 * miB, 128 * miB,
-                            std::uint64_t(1) << 42, blk,
-                            MemOp::Kind::Load, false, 7 + t),
-                        0, nullptr);
-                }
-                m.eq().runUntil(ticksFromUs(30));
-                std::uint64_t before = 0;
-                for (auto &t : pool)
-                    before += t->stats().bytesRead;
-                m.eq().runUntil(ticksFromUs(150));
-                std::uint64_t after = 0;
-                for (auto &t : pool)
-                    after += t->stats().bytesRead;
+                memo::Flood flood(m, 8, [&](std::uint32_t t) {
+                    return std::make_unique<RandomBlockStream>(
+                        buf, std::uint64_t(t) * 128 * miB, 128 * miB,
+                        std::uint64_t(1) << 42, blk, MemOp::Kind::Load,
+                        false, 7 + t);
+                });
                 std::printf("  tlb=%-3s blk=%2lluKiB: %6.1f GB/s\n",
                             tlb ? "on" : "off",
                             (unsigned long long)(blk / kiB),
-                            gbPerSec(after - before, ticksFromUs(120)));
+                            flood.gbps(memo::Window::of(window())));
             }
         }
         bench::note("page walks are the real-hardware reason 1 KiB "

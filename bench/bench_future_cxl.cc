@@ -9,7 +9,6 @@
  */
 
 #include <cstdio>
-#include <functional>
 
 #include "apps/dlrm/dlrm.hh"
 #include "apps/kvstore/kvstore.hh"
@@ -75,80 +74,28 @@ main()
         Machine lat_m(Testbed::SingleSocketCxl, spec.opts);
         NumaBuffer probe = lat_m.numa().alloc(
             256 * miB, MemPolicy::membind(lat_m.cxlNode()));
-        auto chase = std::make_unique<PointerChaseStream>(
-            probe, 256 * miB, 20000, false, 7);
-        HwThread t(lat_m.caches(), 0, lat_m.coreParams());
-        Tick s = 0;
-        Tick e = 0;
-        t.start(std::move(chase), 0, [&](Tick a, Tick b) {
-            s = a;
-            e = b;
-        });
-        lat_m.eq().run();
+        const auto [s, e] = memo::runStream(
+            lat_m, 0,
+            std::make_unique<PointerChaseStream>(probe, 256 * miB, 20000,
+                                                 7));
         const double lat_ns = nsFromTicks(e - s) / 20000.0;
 
-        // Bandwidth: 8-thread sequential load.
+        // Bandwidth: 8-thread sequential load, 120 us after warm-up.
         Machine bw_m(Testbed::SingleSocketCxl, spec.opts);
-        NumaBuffer buf = bw_m.numa().alloc(
-            8ull * 128 * miB, MemPolicy::membind(bw_m.cxlNode()));
-        std::vector<std::unique_ptr<HwThread>> pool;
-        for (std::uint32_t w = 0; w < 8; ++w) {
-            pool.push_back(bw_m.makeThread(static_cast<std::uint16_t>(w)));
-            pool.back()->start(
-                std::make_unique<SequentialStream>(
-                    buf, std::uint64_t(w) * 128 * miB, 128 * miB,
-                    std::uint64_t(1) << 42, MemOp::Kind::Load),
-                0, nullptr);
-        }
-        bw_m.eq().runUntil(ticksFromUs(30));
-        std::uint64_t before = 0;
-        for (auto &w : pool)
-            before += w->stats().bytesRead;
-        bw_m.eq().runUntil(ticksFromUs(150));
-        std::uint64_t after = 0;
-        for (auto &w : pool)
-            after += w->stats().bytesRead;
-        const double bw = gbPerSec(after - before, ticksFromUs(120));
+        memo::Options window;
+        window.measureUs = 120.0;
+        const double bw = memo::runSeqBandwidth(
+            bw_m, memo::Target::Cxl, MemOp::Kind::Load, 8, window);
 
-        // Applications. (Fresh machines inside the helpers would use
-        // the default device, so run them with explicit options.)
-        // Redis: reuse the library helper by rebuilding its machine —
-        // the helper always builds the default testbed, so inline a
-        // capacity probe here instead.
-        double redis_qps;
-        {
-            Machine m(Testbed::SingleSocketCxl, spec.opts);
-            kv::KvStore store(m, kv::KvStoreParams{},
-                              MemPolicy::membind(m.cxlNode()));
-            kv::KvServer server(m, store, 0);
-            kv::YcsbGenerator gen(kv::YcsbWorkload::a(),
-                                  kv::KvStoreParams{}.numKeys,
-                                  store.capacity(), 42);
-            for (int i = 0; i < 2000; ++i)
-                server.submit(gen.next());
-            m.eq().run();
-            const Tick t0 = m.eq().curTick();
-            const Tick horizon = t0 + ticksFromSec(0.2);
-            const std::uint64_t before_q = server.completed();
-            std::function<void()> feed = [&] {
-                while (server.queueDepth() < 16)
-                    server.submit(gen.next());
-                const Tick next = m.eq().curTick() + ticksFromUs(20);
-                if (next < horizon)
-                    m.eq().schedule(next, feed);
-            };
-            m.eq().schedule(t0, feed);
-            m.eq().runUntil(horizon);
-            redis_qps = (server.completed() - before_q) / 0.2;
-        }
+        // Applications, on machines with this device.
+        Machine redis_m(Testbed::SingleSocketCxl, spec.opts);
+        const double redis_qps = kv::maxSustainableQps(
+            redis_m, kv::YcsbWorkload::a(), 1.0, 0.2);
 
-        double dlrm;
-        {
-            Machine m(Testbed::SingleSocketCxl, spec.opts);
-            dlrm = dlrm::runInferenceThroughput(
-                m, dlrm::DlrmParams{},
-                MemPolicy::membind(m.cxlNode()), 32);
-        }
+        Machine dlrm_m(Testbed::SingleSocketCxl, spec.opts);
+        const double dlrm = dlrm::runInferenceThroughput(
+            dlrm_m, dlrm::DlrmParams{}, MemPolicy::membind(dlrm_m.cxlNode()),
+            32);
 
         std::printf("%-22s %12.1f %12.1f %14.0f %14.0f\n", spec.name,
                     lat_ns, bw, redis_qps, dlrm);

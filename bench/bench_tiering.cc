@@ -21,6 +21,7 @@
 #include "apps/tiering/tiering.hh"
 #include "bench_common.hh"
 #include "cpu/streams.hh"
+#include "memo/memo.hh"
 #include "sim/rng.hh"
 
 using namespace cxlmemo;
@@ -86,19 +87,18 @@ class StaticZipfStream : public AccessStream
     Rng rng_;
 };
 
+/** Lines read per second by @p threads streams from @p make on @p m,
+ *  measured over @p measureUs after @p warmupUs. */
 double
-measure(Machine &m, std::vector<std::unique_ptr<HwThread>> &pool,
-        double warmupUs, double measureUs)
+linesPerSec(Machine &m, const memo::Flood::MakeStream &make,
+            double warmupUs, double measureUs)
 {
-    m.eq().runUntil(m.eq().curTick() + ticksFromUs(warmupUs));
-    std::uint64_t before = 0;
-    for (auto &t : pool)
-        before += t->stats().loads;
-    m.eq().runUntil(m.eq().curTick() + ticksFromUs(measureUs));
-    std::uint64_t after = 0;
-    for (auto &t : pool)
-        after += t->stats().loads;
-    return static_cast<double>(after - before) / (measureUs * 1e-6);
+    memo::Flood flood(m, threads, make);
+    const Tick from = m.eq().curTick() + ticksFromUs(warmupUs);
+    const std::uint64_t lines =
+        memo::countOver(m, {from, from + ticksFromUs(measureUs)},
+                        [&] { return flood.sum(&ThreadStats::loads); });
+    return static_cast<double>(lines) / (measureUs * 1e-6);
 }
 
 double
@@ -106,14 +106,12 @@ runStatic(const MemPolicy &policy)
 {
     Machine m(Testbed::SingleSocketCxl);
     NumaBuffer buf = m.numa().alloc(workingSet, policy);
-    std::vector<std::unique_ptr<HwThread>> pool;
-    for (std::uint32_t t = 0; t < threads; ++t) {
-        pool.push_back(m.makeThread(static_cast<std::uint16_t>(t)));
-        pool.back()->start(
-            std::make_unique<StaticZipfStream>(buf, 91 + t), 0,
-            nullptr);
-    }
-    return measure(m, pool, 200.0, 600.0);
+    return linesPerSec(
+        m,
+        [&](std::uint32_t t) {
+            return std::make_unique<StaticZipfStream>(buf, 91 + t);
+        },
+        200.0, 600.0);
 }
 
 } // namespace
@@ -143,15 +141,13 @@ main()
             workingSet / pageBytes * dramShare);
         TieredBuffer buf(m, workingSet, tp);
         buf.startDaemon();
-        std::vector<std::unique_ptr<HwThread>> pool;
-        for (std::uint32_t t = 0; t < threads; ++t) {
-            pool.push_back(m.makeThread(static_cast<std::uint16_t>(t)));
-            pool.back()->start(
-                std::make_unique<TieredZipfStream>(buf, 91 + t), 0,
-                nullptr);
-        }
         // Let the daemon converge before measuring.
-        tiering_tput = measure(m, pool, 8000.0, 600.0);
+        tiering_tput = linesPerSec(
+            m,
+            [&](std::uint32_t t) {
+                return std::make_unique<TieredZipfStream>(buf, 91 + t);
+            },
+            8000.0, 600.0);
         residency = buf.dramResidency();
         promotions = buf.stats().promotions;
     }

@@ -1,8 +1,10 @@
 #include "apps/dlrm/dlrm.hh"
 
+#include <numeric>
 #include <vector>
 
 #include "cpu/streams.hh"
+#include "memo/memo.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 
@@ -113,28 +115,21 @@ runInferenceThroughput(Machine &machine, const DlrmParams &params,
                        double warmupUs, double measureUs,
                        std::uint64_t seed)
 {
-    CXLMEMO_ASSERT(threads >= 1 && threads <= machine.numCores(),
-                   "thread count out of range");
+    CXLMEMO_ASSERT(threads >= 1, "need at least one worker");
     DlrmModel model(machine, params, placement, seed);
 
     std::vector<std::uint64_t> counters(threads, 0);
-    std::vector<std::unique_ptr<HwThread>> pool;
-    pool.reserve(threads);
-    for (std::uint32_t t = 0; t < threads; ++t) {
-        pool.push_back(machine.makeThread(static_cast<std::uint16_t>(t)));
-        pool.back()->start(model.makeWorkerStream(t, &counters[t]), 0,
-                           nullptr);
-    }
-
-    machine.eq().runUntil(ticksFromUs(warmupUs));
-    std::uint64_t before = 0;
-    for (std::uint64_t c : counters)
-        before += c;
-    machine.eq().runUntil(ticksFromUs(warmupUs + measureUs));
-    std::uint64_t after = 0;
-    for (std::uint64_t c : counters)
-        after += c;
-    return static_cast<double>(after - before) / (measureUs * 1e-6);
+    memo::Flood flood(machine, threads, [&](std::uint32_t t) {
+        return model.makeWorkerStream(t, &counters[t]);
+    });
+    const std::uint64_t inferences = memo::countOver(
+        machine,
+        {ticksFromUs(warmupUs), ticksFromUs(warmupUs + measureUs)},
+        [&counters] {
+            return std::accumulate(counters.begin(), counters.end(),
+                                   std::uint64_t(0));
+        });
+    return static_cast<double>(inferences) / (measureUs * 1e-6);
 }
 
 } // namespace dlrm

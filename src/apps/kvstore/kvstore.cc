@@ -253,6 +253,15 @@ maxSustainableQps(const YcsbWorkload &workload, double cxlFraction,
                   std::uint64_t seed)
 {
     Machine m(Testbed::SingleSocketCxl);
+    return maxSustainableQps(m, workload, cxlFraction, durationSec, params,
+                             seed);
+}
+
+double
+maxSustainableQps(Machine &m, const YcsbWorkload &workload,
+                  double cxlFraction, double durationSec,
+                  const KvStoreParams &params, std::uint64_t seed)
+{
     KvStore store(m, params, placementFor(m, cxlFraction));
     KvServer server(m, store, 0);
     YcsbGenerator gen(workload, params.numKeys, store.capacity(),

@@ -166,6 +166,13 @@ double maxSustainableQps(const YcsbWorkload &workload, double cxlFraction,
                          const KvStoreParams &params = {},
                          std::uint64_t seed = 42);
 
+/** maxSustainableQps() on @p m (say, one with a different CXL device)
+ *  instead of the default single-socket testbed. */
+double maxSustainableQps(Machine &m, const YcsbWorkload &workload,
+                         double cxlFraction, double durationSec = 0.4,
+                         const KvStoreParams &params = {},
+                         std::uint64_t seed = 42);
+
 } // namespace kv
 } // namespace cxlmemo
 

@@ -142,15 +142,10 @@ class RandomBlockStream : public AccessStream
 class PointerChaseStream : public AccessStream
 {
   public:
-    /**
-     * @param accesses how many chase steps to perform
-     * @param warmup   if true, first sweep the set with independent
-     *                 loads to populate the caches (MEMO's warm-up run)
-     */
+    /** @param accesses how many chase steps to perform */
     PointerChaseStream(const NumaBuffer &buf, std::uint64_t wssBytes,
-                       std::uint64_t accesses, bool warmup,
-                       std::uint64_t seed)
-        : buf_(buf), remaining_(accesses), warmupRemaining_(0)
+                       std::uint64_t accesses, std::uint64_t seed)
+        : buf_(buf), remaining_(accesses)
     {
         const std::uint64_t lines = wssBytes / cachelineBytes;
         CXLMEMO_ASSERT(lines >= 2, "working set too small to chase");
@@ -164,29 +159,11 @@ class PointerChaseStream : public AccessStream
             const std::uint64_t j = rng.below(i);
             std::swap(nextIdx_[i], nextIdx_[j]);
         }
-        if (warmup)
-            warmupRemaining_ = lines;
     }
 
     bool
     next(MemOp &op) override
     {
-        if (warmupRemaining_ > 0) {
-            --warmupRemaining_;
-            op.kind = MemOp::Kind::Load;
-            op.paddr = buf_.translate(warmupCursor_ * cachelineBytes);
-            ++warmupCursor_;
-            if (warmupRemaining_ == 0) {
-                // Ensure the warm-up sweep fully lands before timing.
-                op.kind = MemOp::Kind::Load;
-            }
-            return true;
-        }
-        if (pendingFence_) {
-            pendingFence_ = false;
-            op.kind = MemOp::Kind::Mfence;
-            return true;
-        }
         if (remaining_ == 0)
             return false;
         --remaining_;
@@ -197,17 +174,11 @@ class PointerChaseStream : public AccessStream
         return true;
     }
 
-    /** Queue an mfence before the next chase step (end of warm-up). */
-    void fenceBeforeChase() { pendingFence_ = true; }
-
   private:
     const NumaBuffer &buf_;
     std::vector<std::uint32_t> nextIdx_;
     std::uint32_t cursor_ = 0;
-    std::uint64_t warmupCursor_ = 0;
     std::uint64_t remaining_;
-    std::uint64_t warmupRemaining_;
-    bool pendingFence_ = false;
 };
 
 /** Stream driven by a lambda; used by the application models. */

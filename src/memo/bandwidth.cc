@@ -1,12 +1,10 @@
 #include "memo/memo.hh"
 
+#include <algorithm>
 #include <memory>
-#include <vector>
 
 #include "cpu/streams.hh"
 #include "sim/logging.hh"
-#include "sim/rng.hh"
-#include "sim/stats.hh"
 
 namespace cxlmemo
 {
@@ -21,44 +19,6 @@ constexpr std::uint64_t regionBytes = 128 * miB;
 
 /** Effectively-infinite stream length; measurement is window-based. */
 constexpr std::uint64_t endlessBytes = std::uint64_t(1) << 42;
-
-std::uint64_t
-threadBytes(const HwThread &t)
-{
-    return t.stats().bytesRead + t.stats().bytesWritten;
-}
-
-/**
- * Launch @p threads streams built by @p makeStream, warm up, then
- * measure aggregate issued bytes over the measurement window.
- */
-template <typename MakeStream>
-double
-windowedBandwidth(Machine &m, std::uint32_t threads,
-                  const Options &opts, MakeStream makeStream)
-{
-    CXLMEMO_ASSERT(threads >= 1 && threads <= m.numCores(),
-                   "thread count %u out of range", threads);
-    std::vector<std::unique_ptr<HwThread>> pool;
-    pool.reserve(threads);
-    for (std::uint32_t t = 0; t < threads; ++t) {
-        pool.push_back(m.makeThread(static_cast<std::uint16_t>(t)));
-        pool.back()->start(makeStream(t), 0, nullptr);
-    }
-
-    m.runUntil(ticksFromUs(opts.warmupUs));
-    std::uint64_t before = 0;
-    for (const auto &t : pool)
-        before += threadBytes(*t);
-
-    const Tick window = ticksFromUs(opts.measureUs);
-    m.runUntil(ticksFromUs(opts.warmupUs) + window);
-    std::uint64_t after = 0;
-    for (const auto &t : pool)
-        after += threadBytes(*t);
-
-    return gbPerSec(after - before, window);
-}
 
 /**
  * Temporal-store streams reach steady state only once the LLC is full
@@ -79,21 +39,29 @@ maybePrimeForStores(Machine &m, MemOp::Kind kind, const MemPolicy &policy)
 } // namespace
 
 double
+runSeqBandwidth(Machine &m, Target target, MemOp::Kind kind,
+                std::uint32_t threads, const Options &opts)
+{
+    CXLMEMO_ASSERT(threads >= 1, "need at least one stream");
+    const MemPolicy policy = MemPolicy::membind(targetNode(m, target));
+    NumaBuffer buf =
+        m.numa().alloc(std::uint64_t(threads) * regionBytes, policy);
+    maybePrimeForStores(m, kind, policy);
+
+    Flood flood(m, threads, [&](std::uint32_t t) {
+        return std::make_unique<SequentialStream>(
+            buf, std::uint64_t(t) * regionBytes, regionBytes, endlessBytes,
+            kind);
+    });
+    return flood.gbps(Window::of(opts));
+}
+
+double
 runSeqBandwidth(Target target, MemOp::Kind kind, std::uint32_t threads,
                 const Options &opts)
 {
     auto m = makeMachine(target, opts, opts.prefetch);
-    const MemPolicy policy = MemPolicy::membind(targetNode(*m, target));
-    NumaBuffer buf =
-        m->numa().alloc(std::uint64_t(threads) * regionBytes, policy);
-    maybePrimeForStores(*m, kind, policy);
-
-    const double gbps =
-        windowedBandwidth(*m, threads, opts, [&](std::uint32_t t) {
-            return std::make_unique<SequentialStream>(
-                buf, std::uint64_t(t) * regionBytes, regionBytes,
-                endlessBytes, kind);
-        });
+    const double gbps = runSeqBandwidth(*m, target, kind, threads, opts);
     if (opts.onMachineDone)
         opts.onMachineDone(*m);
     return gbps;
@@ -103,6 +71,7 @@ double
 runRandBandwidth(Target target, MemOp::Kind kind, std::uint32_t threads,
                  std::uint64_t blockBytes, const Options &opts)
 {
+    CXLMEMO_ASSERT(threads >= 1, "need at least one stream");
     auto m = makeMachine(target, opts, opts.prefetch);
     const MemPolicy policy = MemPolicy::membind(targetNode(*m, target));
     NumaBuffer buf =
@@ -112,17 +81,33 @@ runRandBandwidth(Target target, MemOp::Kind kind, std::uint32_t threads,
     // MEMO issues an sfence after each NT-store block to enforce
     // block-level write order (Sec. 4.3.2).
     const bool fence = kind == MemOp::Kind::NtStore;
-    const double gbps =
-        windowedBandwidth(*m, threads, opts, [&](std::uint32_t t) {
-            return std::make_unique<RandomBlockStream>(
-                buf, std::uint64_t(t) * regionBytes, regionBytes,
-                endlessBytes, blockBytes, kind, fence,
-                opts.seed + 1000 + t);
-        });
+    Flood flood(*m, threads, [&](std::uint32_t t) {
+        return std::make_unique<RandomBlockStream>(
+            buf, std::uint64_t(t) * regionBytes, regionBytes, endlessBytes,
+            blockBytes, kind, fence, opts.seed + 1000 + t);
+    });
+    const double gbps = flood.gbps(Window::of(opts));
     if (opts.onMachineDone)
         opts.onMachineDone(*m);
     return gbps;
 }
+
+namespace
+{
+
+/** threads-1 sequential-load streams in @p buf: the background load
+ *  a loaded-latency probe runs against on core threads-1. */
+Flood
+backgroundLoad(Machine &m, std::uint32_t threads, const NumaBuffer &buf)
+{
+    return Flood(m, threads - 1, [&](std::uint32_t t) {
+        return std::make_unique<SequentialStream>(
+            buf, std::uint64_t(t) * regionBytes, regionBytes, endlessBytes,
+            MemOp::Kind::Load);
+    });
+}
+
+} // namespace
 
 double
 runLoadedLatency(Target target, std::uint32_t threads,
@@ -135,39 +120,15 @@ runLoadedLatency(Target target, std::uint32_t threads,
     NumaBuffer bg_buf = m->numa().alloc(
         std::uint64_t(std::max(threads, 2u) - 1) * regionBytes, policy);
 
-    // threads-1 background load streams...
-    std::vector<std::unique_ptr<HwThread>> pool;
-    for (std::uint32_t t = 0; t + 1 < threads; ++t) {
-        pool.push_back(m->makeThread(static_cast<std::uint16_t>(t)));
-        pool.back()->start(
-            std::make_unique<SequentialStream>(
-                bg_buf, std::uint64_t(t) * regionBytes, regionBytes,
-                endlessBytes, MemOp::Kind::Load),
-            0, nullptr);
-    }
+    const Flood flood = backgroundLoad(*m, threads, bg_buf);
     m->runUntil(ticksFromUs(opts.warmupUs));
 
-    // ...plus a dependent-load probe in its own region.
+    // A dependent-load probe in its own region.
     constexpr std::uint64_t probe_accesses = 3000;
-    auto probe = std::make_unique<PointerChaseStream>(
-        probe_buf, regionBytes, probe_accesses, /*warmup=*/false,
-        opts.seed);
-    auto probe_thread =
-        m->makeThread(static_cast<std::uint16_t>(threads - 1));
-    Tick start = 0;
-    Tick end = 0;
-    bool done = false;
-    probe_thread->start(std::move(probe), m->eq().curTick(),
-                        [&](Tick s, Tick e) {
-        start = s;
-        end = e;
-        done = true;
-    });
-    while (!done) {
-        const Tick horizon = m->eq().curTick() + ticksFromUs(50.0);
-        if (m->runUntil(horizon) && !done)
-            CXLMEMO_PANIC("probe starved: event queue drained");
-    }
+    const auto [start, end] = probeStream(
+        *m, static_cast<std::uint16_t>(threads - 1),
+        std::make_unique<PointerChaseStream>(probe_buf, regionBytes,
+                                             probe_accesses, opts.seed));
     if (opts.onMachineDone)
         opts.onMachineDone(*m);
     return nsFromTicks(end - start) / static_cast<double>(probe_accesses);
@@ -184,52 +145,13 @@ runLoadedLatencyDist(Target target, std::uint32_t threads,
     NumaBuffer bg_buf = m->numa().alloc(
         std::uint64_t(std::max(threads, 2u) - 1) * regionBytes, policy);
 
-    std::vector<std::unique_ptr<HwThread>> pool;
-    for (std::uint32_t t = 0; t + 1 < threads; ++t) {
-        pool.push_back(m->makeThread(static_cast<std::uint16_t>(t)));
-        pool.back()->start(
-            std::make_unique<SequentialStream>(
-                bg_buf, std::uint64_t(t) * regionBytes, regionBytes,
-                endlessBytes, MemOp::Kind::Load),
-            0, nullptr);
-    }
+    const Flood flood = backgroundLoad(*m, threads, bg_buf);
     m->runUntil(ticksFromUs(opts.warmupUs));
 
-    // Serial dependent loads at random lines, timed per window: a
-    // recovery episode (link retry, timeout+backoff, stall) lands in
-    // one window and shows up as tail latency instead of averaging
-    // away over the whole run.
-    constexpr int windows = 200;
-    constexpr int opsPerWindow = 64;
-    const std::uint64_t lines = regionBytes / cachelineBytes;
-    Rng addr_rng(opts.seed + 0x715a); // distinct from workload streams
-    SampleSeries window_ns;
-    const auto core = static_cast<std::uint16_t>(threads - 1);
-    for (int w = 0; w < windows; ++w) {
-        std::vector<MemOp> ops;
-        ops.reserve(opsPerWindow);
-        for (int i = 0; i < opsPerWindow; ++i) {
-            const Addr a = probe_buf.translate(addr_rng.below(lines)
-                                               * cachelineBytes);
-            ops.push_back({MemOp::Kind::DependentLoad, a, 0});
-        }
-        auto probe_thread = m->makeThread(core);
-        Tick start = 0;
-        Tick end = 0;
-        bool done = false;
-        probe_thread->start(std::make_unique<ListStream>(std::move(ops)),
-                            m->eq().curTick(), [&](Tick s, Tick e) {
-            start = s;
-            end = e;
-            done = true;
-        });
-        while (!done) {
-            const Tick horizon = m->eq().curTick() + ticksFromUs(50.0);
-            if (m->runUntil(horizon) && !done)
-                CXLMEMO_PANIC("probe starved: event queue drained");
-        }
-        window_ns.record(nsFromTicks(end - start) / opsPerWindow);
-    }
+    // Address draws distinct from the workload streams' seeds.
+    const SampleSeries window_ns =
+        probeWindows(*m, static_cast<std::uint16_t>(threads - 1), probe_buf,
+                     regionBytes, 200, 64, opts.seed + 0x715a);
 
     LoadedLatencyDist dist;
     dist.avgNs = window_ns.mean();

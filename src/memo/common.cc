@@ -66,25 +66,5 @@ targetNode(Machine &m, Target target)
     CXLMEMO_PANIC("bad target");
 }
 
-std::pair<Tick, Tick>
-runStream(Machine &m, std::uint16_t core,
-          std::unique_ptr<AccessStream> stream)
-{
-    HwThread thread(m.caches(), core, m.coreParams());
-    Tick start = 0;
-    Tick end = 0;
-    thread.start(std::move(stream), m.eq().curTick(),
-                 [&start, &end](Tick s, Tick e) {
-        start = s;
-        end = e;
-    });
-    // The watchdog stands down when the queue quiesces between
-    // streams; restart its snapshot cycle for this stream's run.
-    m.rearmWatchdog();
-    m.run();
-    CXLMEMO_ASSERT(thread.finished(), "stream did not finish");
-    return {start, end};
-}
-
 } // namespace memo
 } // namespace cxlmemo

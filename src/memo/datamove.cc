@@ -119,9 +119,8 @@ double
 runMovdirBandwidth(CopyPath path, std::uint32_t threads,
                    const Options &opts)
 {
+    CXLMEMO_ASSERT(threads >= 1, "need at least one copy thread");
     auto m = makeMachine(Target::Ddr5Local, opts, opts.prefetch);
-    CXLMEMO_ASSERT(threads >= 1 && threads <= m->numCores(),
-                   "thread count out of range");
     NumaBuffer src = m->numa().alloc(
         std::uint64_t(threads) * copyRegion,
         MemPolicy::membind(targetNode(*m, srcOf(path))));
@@ -129,26 +128,13 @@ runMovdirBandwidth(CopyPath path, std::uint32_t threads,
         std::uint64_t(threads) * copyRegion,
         MemPolicy::membind(targetNode(*m, dstOf(path))));
 
-    std::vector<std::unique_ptr<HwThread>> pool;
-    for (std::uint32_t t = 0; t < threads; ++t) {
-        pool.push_back(m->makeThread(static_cast<std::uint16_t>(t)));
-        pool.back()->start(
-            std::make_unique<CopyStream>(src, std::uint64_t(t) * copyRegion,
-                                         dst, std::uint64_t(t) * copyRegion,
-                                         copyRegion, /*temporal=*/false),
-            0, nullptr);
-    }
-
-    m->runUntil(ticksFromUs(opts.warmupUs));
-    std::uint64_t before = 0;
-    for (const auto &t : pool)
-        before += t->stats().bytesWritten;
-    const Tick window = ticksFromUs(opts.measureUs);
-    m->runUntil(ticksFromUs(opts.warmupUs) + window);
-    std::uint64_t after = 0;
-    for (const auto &t : pool)
-        after += t->stats().bytesWritten;
-    const double gbps = gbPerSec(after - before, window);
+    Flood flood(*m, threads, [&](std::uint32_t t) {
+        return std::make_unique<CopyStream>(
+            src, std::uint64_t(t) * copyRegion, dst,
+            std::uint64_t(t) * copyRegion, copyRegion, /*temporal=*/false);
+    });
+    const double gbps =
+        flood.gbps(Window::of(opts), &ThreadStats::bytesWritten);
     if (opts.onMachineDone)
         opts.onMachineDone(*m);
     return gbps;
@@ -166,17 +152,12 @@ runCopyBandwidth(CopyPath path, CopyMethod method, std::uint32_t batch,
         copyRegion, MemPolicy::membind(targetNode(*m, dstOf(path))));
 
     if (method == CopyMethod::Memcpy || method == CopyMethod::Movdir64) {
-        auto thread = m->makeThread(0);
-        thread->start(std::make_unique<CopyStream>(
-                          src, 0, dst, 0, copyRegion,
-                          method == CopyMethod::Memcpy),
-                      0, nullptr);
-        m->runUntil(ticksFromUs(opts.warmupUs));
-        const std::uint64_t before = thread->stats().bytesWritten;
-        const Tick window = ticksFromUs(opts.measureUs);
-        m->runUntil(ticksFromUs(opts.warmupUs) + window);
+        Flood flood(*m, 1, [&](std::uint32_t) {
+            return std::make_unique<CopyStream>(
+                src, 0, dst, 0, copyRegion, method == CopyMethod::Memcpy);
+        });
         const double gbps =
-            gbPerSec(thread->stats().bytesWritten - before, window);
+            flood.gbps(Window::of(opts), &ThreadStats::bytesWritten);
         if (opts.onMachineDone)
             opts.onMachineDone(*m);
         return gbps;
@@ -255,11 +236,10 @@ runCopyBandwidth(CopyPath path, CopyMethod method, std::uint32_t batch,
                   batch,     target_in_flight};
     m->eq().schedule(0, [&driver] { driver.pump(); });
 
-    m->runUntil(ticksFromUs(opts.warmupUs));
-    const std::uint64_t before = dsa.bytesCopied();
-    const Tick window = ticksFromUs(opts.measureUs);
-    m->runUntil(ticksFromUs(opts.warmupUs) + window);
-    const double gbps = gbPerSec(dsa.bytesCopied() - before, window);
+    const Window w = Window::of(opts);
+    const double gbps = gbPerSec(
+        countOver(*m, w, [&dsa] { return dsa.bytesCopied(); }),
+        w.to - w.from);
     if (opts.onMachineDone)
         opts.onMachineDone(*m);
     return gbps;

@@ -13,11 +13,9 @@
 
 #include <algorithm>
 #include <memory>
-#include <vector>
 
 #include "cpu/streams.hh"
 #include "sim/logging.hh"
-#include "sim/stats.hh"
 
 namespace cxlmemo
 {
@@ -61,8 +59,6 @@ runDrill(std::uint32_t threads, const Options &opts)
         o.watchdogUs = 100.0; // the drill always logs lifecycle events
 
     auto m = makeMachine(Target::Cxl, o, o.prefetch);
-    CXLMEMO_ASSERT(threads <= m->numCores(),
-                   "thread count %u out of range", threads);
 
     const std::uint64_t workBytes = std::uint64_t(threads) * regionBytes;
     NumaBuffer work =
@@ -110,29 +106,11 @@ runDrill(std::uint32_t threads, const Options &opts)
             res.evacuatedBytes += work.size();
     });
 
-    std::vector<std::unique_ptr<HwThread>> pool;
-    pool.reserve(threads);
-    for (std::uint32_t t = 0; t < threads; ++t) {
-        pool.push_back(m->makeThread(static_cast<std::uint16_t>(t)));
-        pool.back()->start(
-            std::make_unique<SequentialStream>(
-                work, std::uint64_t(t) * regionBytes, regionBytes,
-                endlessBytes, MemOp::Kind::Load),
-            0, nullptr);
-    }
-
-    const auto bytesNow = [&pool] {
-        std::uint64_t sum = 0;
-        for (const auto &t : pool)
-            sum += t->stats().bytesRead + t->stats().bytesWritten;
-        return sum;
-    };
-    const auto windowGBps = [&](Tick from, Tick to) {
-        m->runUntil(from);
-        const std::uint64_t before = bytesNow();
-        m->runUntil(to);
-        return gbPerSec(bytesNow() - before, to - from);
-    };
+    Flood flood(*m, threads, [&](std::uint32_t t) {
+        return std::make_unique<SequentialStream>(
+            work, std::uint64_t(t) * regionBytes, regionBytes, endlessBytes,
+            MemOp::Kind::Load);
+    });
 
     const ChaosSpec &c = m->chaosSpec();
     const Tick down = ticksFromNs(static_cast<double>(c.linkDownAtNs));
@@ -141,9 +119,9 @@ runDrill(std::uint32_t threads, const Options &opts)
 
     // Healthy window: the second half of the pre-failure runway.
     if (down > 0)
-        res.healthyGBps = windowGBps(down / 2, down);
+        res.healthyGBps = flood.gbps({down / 2, down});
     else if (remove > 0)
-        res.healthyGBps = windowGBps(remove / 2, remove);
+        res.healthyGBps = flood.gbps({remove / 2, remove});
 
     // Degraded window: from the outage until full width should be
     // back (retrain + two step-ups), bounded away from the removal.
@@ -151,18 +129,18 @@ runDrill(std::uint32_t threads, const Options &opts)
         Tick degEnd = down + ticksFromNs(c.retrainNs + 2.0 * c.stepUpNs);
         if (remove > 0)
             degEnd = std::min(degEnd, remove);
-        res.degradedGBps = windowGBps(down, degEnd);
+        res.degradedGBps = flood.gbps({down, degEnd});
     }
 
     // Recovered window: well after the re-add settled.
     if (readd > 0) {
-        res.recoveredGBps = windowGBps(readd + ticksFromUs(10.0),
-                                       readd + ticksFromUs(40.0));
+        res.recoveredGBps = flood.gbps({readd + ticksFromUs(10.0),
+                                         readd + ticksFromUs(40.0)});
     } else {
         const Tick tail =
             std::max({down, remove, ticksFromUs(o.warmupUs)});
-        res.recoveredGBps = windowGBps(tail + ticksFromUs(10.0),
-                                       tail + ticksFromUs(40.0));
+        res.recoveredGBps = flood.gbps({tail + ticksFromUs(10.0),
+                                         tail + ticksFromUs(40.0)});
     }
 
     // Let in-flight recovery work (aborts, migrations) finish. The

@@ -86,9 +86,8 @@ chaseAverageNs(Machine &m, const NumaBuffer &buf, std::uint64_t wss,
                   std::make_unique<SequentialStream>(buf, 0, wss, wss,
                                                      MemOp::Kind::Load));
     }
-    auto chase = std::make_unique<PointerChaseStream>(buf, wss, accesses,
-                                                      /*warmup=*/false,
-                                                      seed);
+    auto chase =
+        std::make_unique<PointerChaseStream>(buf, wss, accesses, seed);
     auto [start, end] = runStream(m, 0, std::move(chase));
     return nsFromTicks(end - start) / static_cast<double>(accesses);
 }
@@ -96,24 +95,31 @@ chaseAverageNs(Machine &m, const NumaBuffer &buf, std::uint64_t wss,
 } // namespace
 
 LatencyResult
+runLatency(Machine &m, Target target, const Options &opts)
+{
+    const MemPolicy policy = MemPolicy::membind(targetNode(m, target));
+    const std::uint64_t chase_space = 512 * miB;
+    NumaBuffer buf = m.numa().alloc(chase_space, policy);
+
+    LatencyResult res;
+    res.loadNs = probeLoad(m, buf);
+    res.storeWbNs = probeStoreWb(m, buf);
+    res.ntStoreNs = probeNtStore(m, buf);
+    // 1 GB chase in the paper; the working set dwarfs the LLC either
+    // way, so capacity misses dominate identically at 512 MiB (warm-up
+    // is pointless at this size and skipped).
+    m.caches().flushAllCaches();
+    res.ptrChaseNs = chaseAverageNs(m, buf, chase_space, opts.seed,
+                                    /*warmup=*/false);
+    return res;
+}
+
+LatencyResult
 runLatency(Target target, const Options &opts)
 {
     // The paper disables prefetching at all levels for latency tests.
     auto m = makeMachine(target, opts, /*prefetch=*/false);
-    const MemPolicy policy = MemPolicy::membind(targetNode(*m, target));
-    const std::uint64_t chase_space = 512 * miB;
-    NumaBuffer buf = m->numa().alloc(chase_space, policy);
-
-    LatencyResult res;
-    res.loadNs = probeLoad(*m, buf);
-    res.storeWbNs = probeStoreWb(*m, buf);
-    res.ntStoreNs = probeNtStore(*m, buf);
-    // 1 GB chase in the paper; the working set dwarfs the LLC either
-    // way, so capacity misses dominate identically at 512 MiB (warm-up
-    // is pointless at this size and skipped).
-    m->caches().flushAllCaches();
-    res.ptrChaseNs = chaseAverageNs(*m, buf, chase_space, opts.seed,
-                                    /*warmup=*/false);
+    const LatencyResult res = runLatency(*m, target, opts);
     if (opts.onMachineDone)
         opts.onMachineDone(*m);
     return res;

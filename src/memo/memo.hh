@@ -14,7 +14,10 @@
  *      working-set size).
  *
  * Every entry point builds a fresh deterministic Machine, so results
- * are reproducible and experiments cannot contaminate each other.
+ * are reproducible and experiments cannot contaminate each other. The
+ * entry points a custom machine can also run (a swapped CXL device, a
+ * toggled NUMA knob) take that Machine instead of a Target's default;
+ * every one measures through the harness at the end of this header.
  */
 
 #ifndef CXLMEMO_MEMO_MEMO_HH
@@ -26,6 +29,7 @@
 #include <vector>
 
 #include "cpu/core.hh"
+#include "sim/stats.hh"
 #include "system/cluster.hh"
 #include "system/machine.hh"
 
@@ -104,6 +108,11 @@ struct LatencyResult
  */
 LatencyResult runLatency(Target target, const Options &opts = {});
 
+/** runLatency() on @p m, probing @p target's node; the machine's own
+ *  prefetch setting applies. */
+LatencyResult runLatency(Machine &m, Target target,
+                         const Options &opts = {});
+
 /**
  * Average pointer-chase latency for each working-set size, after a
  * warm-up sweep brings the set into the cache hierarchy (Fig. 2,
@@ -119,6 +128,10 @@ std::vector<double> runPtrChaseWssSweep(Target target,
  * threads issuing @p kind ops (Fig. 3).
  */
 double runSeqBandwidth(Target target, MemOp::Kind kind,
+                       std::uint32_t threads, const Options &opts = {});
+
+/** runSeqBandwidth() on @p m, streaming over @p target's node. */
+double runSeqBandwidth(Machine &m, Target target, MemOp::Kind kind,
                        std::uint32_t threads, const Options &opts = {});
 
 /**
@@ -312,12 +325,84 @@ std::unique_ptr<Machine> makeMachine(Target target, const Options &opts,
 /** The NUMA node id of @p target on @p machine. */
 NodeId targetNode(Machine &m, Target target);
 
+/* ---------------------- measurement harness ---------------------- *
+ * MEMO's one procedure (Sec. 4.1): pin N threads issuing one kind of
+ * access, warm up, then read a counter over a window -- or time a
+ * probe while the flood keeps running.
+ * ------------------------------------------------------------------ */
+
+/** A measurement window [from, to] in simulated time. */
+struct Window
+{
+    Tick from = 0;
+    Tick to = 0;
+
+    /** @p opts' window: warmupUs of warm-up, then measureUs. */
+    static Window of(const Options &opts);
+};
+
 /**
- * Run @p stream to completion on @p core of @p machine.
+ * Drive @p m to @p w.from, then to @p w.to.
+ * @return how much @p count grew in between.
+ */
+std::uint64_t countOver(Machine &m, Window w,
+                        const std::function<std::uint64_t()> &count);
+
+/**
+ * @p threads streams built by @p make(t), pinned to cores
+ * 0..threads-1 and started at the machine's current tick. They keep
+ * running whenever the machine is driven: by countOver(), by a probe
+ * or by the caller.
+ */
+class Flood
+{
+  public:
+    using MakeStream =
+        std::function<std::unique_ptr<AccessStream>(std::uint32_t)>;
+
+    Flood(Machine &m, std::uint32_t threads, const MakeStream &make);
+
+    /** @p field summed over the flood's threads. */
+    std::uint64_t sum(std::uint64_t ThreadStats::*field) const;
+
+    /** GB/s the flood moved over @p w: bytes read plus written. */
+    double gbps(Window w);
+
+    /** GB/s of @p field alone over @p w. */
+    double gbps(Window w, std::uint64_t ThreadStats::*field);
+
+  private:
+    Machine &m_;
+    std::vector<std::unique_ptr<HwThread>> threads_;
+};
+
+/**
+ * Run @p stream to completion on @p core of an idle @p machine: the
+ * machine runs until its queue drains.
  * @return (startTick, endTick).
  */
 std::pair<Tick, Tick> runStream(Machine &m, std::uint16_t core,
                                 std::unique_ptr<AccessStream> stream);
+
+/**
+ * Run @p stream to completion on @p core while a flood keeps the
+ * machine busy, in 50 us steps; panics if the queue drains first.
+ * @return (startTick, endTick).
+ */
+std::pair<Tick, Tick> probeStream(Machine &m, std::uint16_t core,
+                                  std::unique_ptr<AccessStream> stream);
+
+/**
+ * @p windows probeStream() runs of @p opsPerWindow dependent loads at
+ * random lines of the first @p bytes of @p buf (addresses drawn from
+ * @p seed). One window's mean latency per load is one sample, so a
+ * rare recovery or overload episode shows up as tail latency instead
+ * of averaging away over the whole run.
+ */
+SampleSeries probeWindows(Machine &m, std::uint16_t core,
+                          const NumaBuffer &buf, std::uint64_t bytes,
+                          int windows, int opsPerWindow,
+                          std::uint64_t seed);
 
 } // namespace memo
 } // namespace cxlmemo

@@ -269,7 +269,7 @@ TEST_F(CpuTest, RandomBlockStreamFencesNtBlocks)
 TEST_F(CpuTest, PointerChaseVisitsEveryLineOnce)
 {
     const std::uint64_t lines = 64;
-    PointerChaseStream s(buf, lines * cachelineBytes, lines, false, 3);
+    PointerChaseStream s(buf, lines * cachelineBytes, lines, 3);
     MemOp op;
     std::set<Addr> seen;
     while (s.next(op)) {

@@ -148,7 +148,7 @@ TEST_F(StreamsTest, FnStreamDelegates)
 
 TEST_F(StreamsTest, ChaseRejectsTinyWorkingSets)
 {
-    EXPECT_DEATH(PointerChaseStream(buf, cachelineBytes, 10, false, 1),
+    EXPECT_DEATH(PointerChaseStream(buf, cachelineBytes, 10, 1),
                  "too small");
 }
 
