@@ -143,9 +143,6 @@ class HwThread
     const ThreadStats &stats() const { return stats_; }
     std::uint16_t core() const { return core_; }
 
-    /** Local clock (valid while running; equals end tick after). */
-    Tick localTime() const { return localTime_; }
-
     /**
      * Wire up latency attribution: issue-point blocks (full fill /
      * WC / store buffer) feed the core.lfb station, and every demand

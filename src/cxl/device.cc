@@ -1,7 +1,6 @@
 #include "cxl/device.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -550,12 +549,6 @@ CxlMemDevice::armChaos(const ChaosSpec &spec)
 void
 CxlMemDevice::announce(Tick at, const std::string &text)
 {
-    if (chaos_->log.size() < 64) {
-        char head[48];
-        std::snprintf(head, sizeof(head), "t=%.1f ns: ",
-                      nsFromTicks(at));
-        chaos_->log.push_back(head + text);
-    }
     if (chaosAnnounce_)
         chaosAnnounce_(at, text);
 }

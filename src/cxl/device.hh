@@ -289,15 +289,6 @@ class CxlMemDevice : public MemoryDevice, public ProgressSource
      *  all-zero when chaos is unarmed. */
     ChaosStats chaosStats() const;
 
-    /** Bounded transition log ("t=... ns: link DOWN ..."), for the
-     *  drill report and the watchdog post-mortem. */
-    const std::vector<std::string> &
-    chaosLog() const
-    {
-        static const std::vector<std::string> empty;
-        return chaos_ ? chaos_->log : empty;
-    }
-
     /* ----------------- ProgressSource (watchdog) ------------------ */
 
     std::string progressName() const override { return params_.name; }
@@ -358,7 +349,6 @@ class CxlMemDevice : public MemoryDevice, public ProgressSource
         LinkLifecycle link; //!< shared by both directions
         ChaosStats stats;
         bool present = true;
-        std::vector<std::string> log;
     };
 
     /** Transition to link DOWN (scheduled or CRC-burst triggered). */

@@ -5,7 +5,6 @@
  * panic()  - an internal invariant was violated (simulator bug); aborts.
  * fatal()  - the user asked for something impossible (bad config); exits.
  * warn()   - something is off but the simulation can continue.
- * inform() - plain status output.
  */
 
 #ifndef CXLMEMO_SIM_LOGGING_HH
@@ -28,7 +27,6 @@ namespace logging_detail
 [[noreturn]] void assertFailImpl(const char *file, int line,
                                  const char *cond, const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 /** printf-style formatting into a std::string. */
 std::string format(const char *fmt, ...)
@@ -46,10 +44,6 @@ std::string format(const char *fmt, ...)
 
 #define CXLMEMO_WARN(...)                                                    \
     ::cxlmemo::logging_detail::warnImpl(                                     \
-        ::cxlmemo::logging_detail::format(__VA_ARGS__))
-
-#define CXLMEMO_INFORM(...)                                                  \
-    ::cxlmemo::logging_detail::informImpl(                                   \
         ::cxlmemo::logging_detail::format(__VA_ARGS__))
 
 /**

@@ -106,9 +106,6 @@ class MetricsRegistry
 
     static const char *csvHeader() { return "time_ns,metric,kind,value"; }
 
-    std::size_t counterCount() const { return counters_.size(); }
-    std::size_t gaugeCount() const { return gauges_.size(); }
-    std::size_t histogramCount() const { return hists_.size(); }
     std::uint64_t snapshots() const { return snapshots_; }
 
     /** Clear rows and re-baseline counters (between sweep points). */

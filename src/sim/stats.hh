@@ -1,8 +1,7 @@
 /**
  * @file
- * Lightweight statistics containers used by every component: running
- * scalar summaries, exact-percentile sample recorders for latency
- * distributions, and a bandwidth meter.
+ * SampleSeries: an exact-percentile sample recorder for latency
+ * distributions.
  */
 
 #ifndef CXLMEMO_SIM_STATS_HH
@@ -11,8 +10,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
-#include <string>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -20,86 +17,6 @@
 
 namespace cxlmemo
 {
-
-/**
- * Running mean/variance/min/max/count without storing samples
- * (Welford's online update). merge() combines two independently
- * accumulated instances with the parallel-algorithm formula
- * (Chan et al.), so SweepRunner workers can each keep their own
- * RunningStats and fold them afterwards: count/min/max combine
- * exactly, mean/variance to floating-point accuracy.
- */
-class RunningStats
-{
-  public:
-    void
-    record(double v)
-    {
-        sum_ += v;
-        ++count_;
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-        const double delta = v - mean_;
-        mean_ += delta / static_cast<double>(count_);
-        m2_ += delta * (v - mean_);
-    }
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-
-    /** Population variance (0 for fewer than two samples). */
-    double
-    variance() const
-    {
-        return count_ > 1 ? m2_ / static_cast<double>(count_) : 0.0;
-    }
-
-    double stddev() const { return std::sqrt(variance()); }
-
-    /** Fold @p o into this as if every sample had been recorded here. */
-    void
-    merge(const RunningStats &o)
-    {
-        if (o.count_ == 0)
-            return;
-        if (count_ == 0) {
-            *this = o;
-            return;
-        }
-        const auto na = static_cast<double>(count_);
-        const auto nb = static_cast<double>(o.count_);
-        const double delta = o.mean_ - mean_;
-        const double n = na + nb;
-        m2_ += o.m2_ + delta * delta * na * nb / n;
-        mean_ = (na * mean_ + nb * o.mean_) / n;
-        sum_ += o.sum_;
-        count_ += o.count_;
-        min_ = std::min(min_, o.min_);
-        max_ = std::max(max_, o.max_);
-    }
-
-    void
-    reset()
-    {
-        sum_ = 0.0;
-        count_ = 0;
-        min_ = std::numeric_limits<double>::infinity();
-        max_ = -std::numeric_limits<double>::infinity();
-        mean_ = 0.0;
-        m2_ = 0.0;
-    }
-
-  private:
-    double sum_ = 0.0;
-    std::uint64_t count_ = 0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
-    double mean_ = 0.0; //!< Welford running mean (variance tracking)
-    double m2_ = 0.0;   //!< sum of squared deviations from the mean
-};
 
 /**
  * Stores every sample for exact percentile queries. Experiments record

@@ -108,26 +108,6 @@ class SweepRunner
         return results;
     }
 
-    /**
-     * Evaluate @p fn(i) for every i in [0, n) and fold the results
-     * into one via `result.merge(other)`, always in index order, so
-     * the aggregate is identical for every job count whenever merge
-     * is associative (exact for counter-style merges; mergeable stats
-     * like RunningStats and LatencyHistogram are designed for this).
-     * @p n must be nonzero (there is no identity element to return).
-     */
-    template <typename Fn>
-    auto
-    mapMerge(std::size_t n, Fn fn)
-        -> std::invoke_result_t<Fn &, std::size_t>
-    {
-        auto results = map(n, std::move(fn));
-        auto out = std::move(results.front());
-        for (std::size_t i = 1; i < results.size(); ++i)
-            out.merge(results[i]);
-        return out;
-    }
-
     /** Run @p fn(i) for every i in [0, n); results are discarded. */
     template <typename Fn>
     void

@@ -265,8 +265,6 @@ class Cluster
     EventQueue &fabricQueue() { return eq_; }
     Watchdog *watchdog() { return watchdog_.get(); }
     ParallelExecutor *executor() { return exec_.get(); }
-    FabricBoard *fabricBoard() { return board_.get(); }
-    MetricsRegistry *metricsRegistry() { return metrics_.get(); }
 
     using InjectDone =
         std::function<void(Tick, CxlSwitch::Status, std::uint64_t)>;

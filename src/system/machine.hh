@@ -171,14 +171,8 @@ class Machine
      *  mode, the host- and device-side streams merged. */
     const RasStats *rasStats() const;
 
-    /** The QoS configuration this machine was built with. */
-    const QosSpec &qosSpec() const { return qosSpec_; }
-
     /** Overload-control counters, or nullopt when QoS is disabled. */
     std::optional<QosStats> qosStats() const;
-
-    /** Host throttle (nullptr unless a reaction policy is active). */
-    HostThrottle *hostThrottle() { return throttle_.get(); }
 
     /** The chaos schedule this machine was built with. */
     const ChaosSpec &chaosSpec() const { return chaosSpec_; }

@@ -139,49 +139,6 @@ TEST(LatencyHistogram, MergeWithEmptyIsIdentity)
     EXPECT_EQ(e2.min(), 42u);
 }
 
-/* --------------------- RunningStats::merge ----------------------- */
-
-TEST(RunningStats, MergeMatchesSingleAccumulation)
-{
-    RunningStats a, b, all;
-    std::uint64_t x = 99;
-    for (int i = 0; i < 1000; ++i) {
-        x = x * 6364136223846793005ull + 1442695040888963407ull;
-        const double v = static_cast<double>(x >> 32) / 1e6;
-        (i < 400 ? a : b).record(v);
-        all.record(v);
-    }
-    RunningStats merged = a;
-    merged.merge(b);
-    EXPECT_EQ(merged.count(), all.count());
-    EXPECT_DOUBLE_EQ(merged.min(), all.min());
-    EXPECT_DOUBLE_EQ(merged.max(), all.max());
-    EXPECT_NEAR(merged.mean(), all.mean(),
-                1e-9 * std::abs(all.mean()));
-    EXPECT_NEAR(merged.variance(), all.variance(),
-                1e-6 * all.variance());
-}
-
-TEST(RunningStats, SweepMapMergeIndependentOfJobs)
-{
-    auto run = [](unsigned jobs) {
-        SweepRunner pool(jobs);
-        return pool.mapMerge(8, [](std::size_t i) {
-            RunningStats s;
-            for (int k = 0; k < 100; ++k)
-                s.record(static_cast<double>(i * 1000 + k));
-            return s;
-        });
-    };
-    const RunningStats one = run(1);
-    const RunningStats four = run(4);
-    EXPECT_EQ(one.count(), four.count());
-    EXPECT_DOUBLE_EQ(one.min(), four.min());
-    EXPECT_DOUBLE_EQ(one.max(), four.max());
-    EXPECT_DOUBLE_EQ(one.mean(), four.mean());
-    EXPECT_DOUBLE_EQ(one.variance(), four.variance());
-}
-
 /* ------------------------- RequestTracer ------------------------- */
 
 TEST(RequestTracer, SamplesExactlyOneInN)

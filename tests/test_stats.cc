@@ -12,28 +12,6 @@ namespace cxlmemo
 namespace
 {
 
-TEST(RunningStats, EmptyIsZero)
-{
-    RunningStats s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.min(), 0.0);
-    EXPECT_EQ(s.max(), 0.0);
-}
-
-TEST(RunningStats, TracksMinMeanMax)
-{
-    RunningStats s;
-    for (double v : {4.0, 1.0, 7.0, 2.0})
-        s.record(v);
-    EXPECT_EQ(s.count(), 4u);
-    EXPECT_DOUBLE_EQ(s.mean(), 3.5);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 7.0);
-    s.reset();
-    EXPECT_EQ(s.count(), 0u);
-}
-
 TEST(SampleSeries, ExactPercentiles)
 {
     SampleSeries s;
