@@ -230,7 +230,7 @@ CxlMemDevice::noteResponse(bool write, Tick at)
     }
     releaseCredit(write, at);
     if (meter_ && loadSink_)
-        loadSink_(meter_->load(), meter_->level(), at);
+        loadSink_(meter_->level(), at);
 }
 
 void

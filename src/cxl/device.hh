@@ -191,11 +191,11 @@ class CxlMemDevice : public MemoryDevice, public ProgressSource
     /* ---------------------- overload control --------------------- */
 
     /** Where this device's DevLoad telemetry (piggybacked on S2M
-     *  responses) goes as (load, level, tick) samples: the Machine
+     *  responses) goes as (level, tick) samples: the Machine
      *  installs a sink that drives its host throttle, directly on the
      *  classic engine and posted into the host domain on the parallel
      *  one. No sink = no reaction. */
-    void setLoadSink(std::function<void(double, DevLoad, Tick)> sink)
+    void setLoadSink(std::function<void(DevLoad, Tick)> sink)
     {
         loadSink_ = std::move(sink);
     }
@@ -380,7 +380,7 @@ class CxlMemDevice : public MemoryDevice, public ProgressSource
 
     /* overload control (all inert unless configured) */
     std::unique_ptr<DevLoadMeter> meter_;
-    std::function<void(double, DevLoad, Tick)> loadSink_;
+    std::function<void(DevLoad, Tick)> loadSink_;
     std::deque<std::pair<MemRequest, Tick>> rdCreditWait_;
     std::deque<std::pair<MemRequest, Tick>> wrCreditWait_;
     std::vector<std::uint64_t> sourceCreditStall_; //!< per issuing core

@@ -431,8 +431,8 @@ cliUsage()
         "                e.g. --fault-spec crc=1e-4,poison=1e-6\n"
         "  --qos-spec    key=value[,...] CXL overload control:\n"
         "                credits= rd-credits= wr-credits= (M2S flow\n"
-        "                control), policy=none|linear|aimd target=\n"
-        "                ewma-ns= period-ns= ai= md= floor= slope=\n"
+        "                control), policy=none|aimd target=\n"
+        "                ewma-ns= period-ns= ai= md= floor=\n"
         "                burst= line-ns= (host throttle)\n"
         "                e.g. --qos-spec credits=24,policy=aimd\n"
         "  --chaos-spec  key=value[,...] failure-lifecycle schedule:\n"
@@ -454,6 +454,7 @@ cliUsage()
         "                port-down-at-ns= retrain-ns= seed=\n"
         "                e.g. --pool-spec hosts=4,crash-host=1,\n"
         "                crash-at-ns=20000\n"
+        "  --watchdog    forward-progress watchdog, 100 us snapshots\n"
         "  --watchdog-ns N   watchdog snapshot interval in ns\n"
         "  --trace-out FILE  write sampled request-lifecycle spans as\n"
         "                Chrome trace-event JSON (Perfetto-loadable)\n"

@@ -16,8 +16,6 @@ qosPolicyName(QosPolicy p)
     switch (p) {
       case QosPolicy::None:
         return "none";
-      case QosPolicy::Linear:
-        return "linear";
       case QosPolicy::Aimd:
         return "aimd";
     }
@@ -73,8 +71,6 @@ QosSpec::validate() const
     if (!(md > 0.0 && md < 1.0))
         throw std::invalid_argument("QosSpec: md must be in (0,1)");
     requireFraction(floor, "floor");
-    if (!(slope > 0.0))
-        throw std::invalid_argument("QosSpec: slope must be positive");
     if (burstLines == 0 || burstLines > 64)
         throw std::invalid_argument(
             "QosSpec: burst must be in [1,64]");
@@ -115,12 +111,10 @@ QosSpec::parse(const std::string &text, std::string &error)
             if (key == "policy") {
                 if (value == "none") {
                     spec.policy = QosPolicy::None;
-                } else if (value == "linear") {
-                    spec.policy = QosPolicy::Linear;
                 } else if (value == "aimd") {
                     spec.policy = QosPolicy::Aimd;
                 } else {
-                    error = "bad qos policy (none|linear|aimd): " + value;
+                    error = "bad qos policy (none|aimd): " + value;
                     return false;
                 }
                 return true;
@@ -137,8 +131,6 @@ QosSpec::parse(const std::string &text, std::string &error)
                 return parseSpecValue(value, spec.md);
             if (key == "floor")
                 return parseSpecValue(value, spec.floor);
-            if (key == "slope")
-                return parseSpecValue(value, spec.slope);
             if (key == "burst")
                 return parseSpecValue(value, spec.burstLines);
             if (key == "line-ns")
@@ -210,7 +202,7 @@ HostThrottle::HostThrottle(const QosSpec &spec, std::uint32_t numCores)
 }
 
 void
-HostThrottle::observe(double load, DevLoad level, Tick now)
+HostThrottle::observe(DevLoad level, Tick now)
 {
     if (spec_.policy == QosPolicy::None)
         return;
@@ -219,22 +211,18 @@ HostThrottle::observe(double load, DevLoad level, Tick now)
     nextAdjust_ = now + spec_.adjustPeriod;
 
     const double before = rate_;
-    if (spec_.policy == QosPolicy::Aimd) {
-        switch (level) {
-          case DevLoad::Light:
-            rate_ += spec_.ai;
-            break;
-          case DevLoad::Optimal:
-            break;
-          case DevLoad::Moderate:
-            rate_ -= spec_.ai;
-            break;
-          case DevLoad::Severe:
-            rate_ *= spec_.md;
-            break;
-        }
-    } else {
-        rate_ = 1.0 - spec_.slope * (load - spec_.target);
+    switch (level) {
+      case DevLoad::Light:
+        rate_ += spec_.ai;
+        break;
+      case DevLoad::Optimal:
+        break;
+      case DevLoad::Moderate:
+        rate_ -= spec_.ai;
+        break;
+      case DevLoad::Severe:
+        rate_ *= spec_.md;
+        break;
     }
     rate_ = std::clamp(rate_, spec_.floor, 1.0);
     if (rate_ > before)

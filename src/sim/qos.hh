@@ -22,7 +22,7 @@
  *    the device computes an EWMA-smoothed load signal from its
  *    ingress occupancy, quantized to the spec's four DevLoad levels
  *    and piggybacked on response messages. The host reacts with a
- *    configurable policy (none / linear rate cap / AIMD) applied at
+ *    configurable policy (none / AIMD) applied at
  *    the core's NT-store issue point. Throttling is *burst
  *    preserving*: a per-core token bucket with a burst of several
  *    cachelines, so a throttled thread still emits same-row runs and
@@ -52,9 +52,8 @@ namespace cxlmemo
 /** Host reaction to the device's DevLoad telemetry. */
 enum class QosPolicy : std::uint8_t
 {
-    None,   //!< telemetry may be computed but the host never reacts
-    Linear, //!< rate = 1 - slope * (load - target), clamped
-    Aimd,   //!< additive increase / multiplicative decrease
+    None, //!< telemetry may be computed but the host never reacts
+    Aimd, //!< additive increase / multiplicative decrease
 };
 
 const char *qosPolicyName(QosPolicy p);
@@ -79,14 +78,13 @@ const char *devLoadName(DevLoad l);
  *   credits=N     M2S credits for both message classes (0 = uncapped)
  *   rd-credits=N  read-request (header) class credits
  *   wr-credits=N  write-data class credits
- *   policy=P      none | linear | aimd host throttle policy
+ *   policy=P      none | aimd host throttle policy
  *   target=F      DevLoad target occupancy fraction (default 0.75)
  *   ewma-ns=F     load-signal EWMA time constant (default 2000)
  *   period-ns=F   min time between host rate adjustments (default 1000)
  *   ai=F          AIMD additive step (default 0.05)
  *   md=F          AIMD multiplicative decrease factor (default 0.5)
  *   floor=F       minimum host rate fraction (default 0.05)
- *   slope=F       linear-policy slope (default 1.0)
  *   burst=N       token-bucket burst, cachelines (default 8 = one
  *                 core's WC buffers, preserving same-row runs)
  *   line-ns=F     nominal unthrottled per-line issue cost (default
@@ -104,7 +102,6 @@ struct QosSpec
     double ai = 0.05;    //!< AIMD additive increase step
     double md = 0.5;     //!< AIMD multiplicative decrease factor
     double floor = 0.05; //!< minimum rate fraction
-    double slope = 1.0;  //!< linear-policy slope
     std::uint32_t burstLines = 8;     //!< token-bucket burst (lines)
     Tick lineCost = ticksFromNs(5.5); //!< unthrottled per-line cost
 
@@ -313,7 +310,7 @@ class HostThrottle
 
     /** DevLoad observation delivered by a response message at @p now;
      *  adjusts the rate at most once per adjustPeriod. */
-    void observe(double load, DevLoad level, Tick now);
+    void observe(DevLoad level, Tick now);
 
     /**
      * Pacing delay for one cacheline issued by @p core at @p at.

@@ -462,14 +462,14 @@ Machine::Machine(Testbed testbed, MachineOptions opts) : testbed_(testbed)
         // issuing); on the parallel engine DevLoad samples piggybacked
         // on S2M responses cross the domain boundary like any other
         // event.
-        cxl_->setLoadSink([this](double load, DevLoad level, Tick at) {
+        cxl_->setLoadSink([this](DevLoad level, Tick at) {
             if (!exec_) {
-                throttle_->observe(load, level, at);
+                throttle_->observe(level, at);
                 return;
             }
             exec_->post(cxlRank_, 0, at + lookahead_,
-                        [this, load, level](Tick t) {
-                            throttle_->observe(load, level, t);
+                        [this, level](Tick t) {
+                            throttle_->observe(level, t);
                         });
         });
         caches_->setQosThrottle(throttle_.get(), cxlNode_);

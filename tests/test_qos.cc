@@ -77,6 +77,8 @@ TEST(QosSpec, ParseRejectsGarbage)
         QosSpec::parse("credits=-4294967280", err).has_value());
     EXPECT_NE(err.find("credits=-4294967280"), std::string::npos);
     EXPECT_FALSE(QosSpec::parse("burst=4294967304", err).has_value());
+    EXPECT_FALSE(QosSpec::parse("policy=linear", err).has_value());
+    EXPECT_FALSE(QosSpec::parse("slope=1", err).has_value());
 }
 
 /* -------------------------- credit pool --------------------------- */
@@ -157,13 +159,13 @@ TEST(HostThrottle, AimdConvergesToFloorUnderSevere)
     Tick now = 0;
     for (int i = 0; i < 64; ++i) {
         now += s.adjustPeriod;
-        t.observe(2.0, DevLoad::Severe, now);
+        t.observe(DevLoad::Severe, now);
     }
     EXPECT_DOUBLE_EQ(t.rate(), s.floor);
     // ...and recovers additively under Light.
     for (int i = 0; i < 8; ++i) {
         now += s.adjustPeriod;
-        t.observe(0.1, DevLoad::Light, now);
+        t.observe(DevLoad::Light, now);
     }
     EXPECT_NEAR(t.rate(), s.floor + 8 * s.ai, 1e-9);
 }
@@ -173,10 +175,10 @@ TEST(HostThrottle, AdjustmentIsPeriodGated)
     QosSpec s;
     s.policy = QosPolicy::Aimd;
     HostThrottle t(s, 1);
-    t.observe(2.0, DevLoad::Severe, 0);
+    t.observe(DevLoad::Severe, 0);
     const double after_first = t.rate();
     // Within the same adjust period further observations are ignored.
-    t.observe(2.0, DevLoad::Severe, s.adjustPeriod / 2);
+    t.observe(DevLoad::Severe, s.adjustPeriod / 2);
     EXPECT_DOUBLE_EQ(t.rate(), after_first);
 }
 
@@ -202,7 +204,7 @@ TEST(HostThrottle, ThrottledBucketPacesInBursts)
     Tick now = 0;
     for (int i = 0; i < 64; ++i) {
         now += s.adjustPeriod;
-        t.observe(2.0, DevLoad::Severe, now);
+        t.observe(DevLoad::Severe, now);
     }
     ASSERT_DOUBLE_EQ(t.rate(), 0.1);
 
