@@ -95,16 +95,34 @@ runRandBandwidth(Target target, MemOp::Kind kind, std::uint32_t threads,
 namespace
 {
 
-/** threads-1 sequential-load streams in @p buf: the background load
- *  a loaded-latency probe runs against on core threads-1. */
-Flood
-backgroundLoad(Machine &m, std::uint32_t threads, const NumaBuffer &buf)
+/**
+ * Warm up threads-1 sequential-load streams on @p target's node, then
+ * run @p probe(machine, probe region, core threads-1) beside them.
+ */
+template <typename Probe>
+auto
+underBackgroundLoad(Target target, std::uint32_t threads,
+                    const Options &opts, Probe probe)
 {
-    return Flood(m, threads - 1, [&](std::uint32_t t) {
+    CXLMEMO_ASSERT(threads >= 1, "need at least the probe thread");
+    auto m = makeMachine(target, opts, opts.prefetch);
+    const MemPolicy policy = MemPolicy::membind(targetNode(*m, target));
+    NumaBuffer probe_buf = m->numa().alloc(regionBytes, policy);
+    NumaBuffer bg_buf = m->numa().alloc(
+        std::uint64_t(std::max(threads, 2u) - 1) * regionBytes, policy);
+
+    const Flood background(*m, threads - 1, [&](std::uint32_t t) {
         return std::make_unique<SequentialStream>(
-            buf, std::uint64_t(t) * regionBytes, regionBytes, endlessBytes,
-            MemOp::Kind::Load);
+            bg_buf, std::uint64_t(t) * regionBytes, regionBytes,
+            endlessBytes, MemOp::Kind::Load);
     });
+    m->runUntil(ticksFromUs(opts.warmupUs));
+
+    auto result =
+        probe(*m, probe_buf, static_cast<std::uint16_t>(threads - 1));
+    if (opts.onMachineDone)
+        opts.onMachineDone(*m);
+    return result;
 }
 
 } // namespace
@@ -113,57 +131,39 @@ double
 runLoadedLatency(Target target, std::uint32_t threads,
                  const Options &opts)
 {
-    CXLMEMO_ASSERT(threads >= 1, "need at least the probe thread");
-    auto m = makeMachine(target, opts, opts.prefetch);
-    const MemPolicy policy = MemPolicy::membind(targetNode(*m, target));
-    NumaBuffer probe_buf = m->numa().alloc(regionBytes, policy);
-    NumaBuffer bg_buf = m->numa().alloc(
-        std::uint64_t(std::max(threads, 2u) - 1) * regionBytes, policy);
-
-    const Flood flood = backgroundLoad(*m, threads, bg_buf);
-    m->runUntil(ticksFromUs(opts.warmupUs));
-
-    // A dependent-load probe in its own region.
-    constexpr std::uint64_t probe_accesses = 3000;
-    const auto [start, end] = probeStream(
-        *m, static_cast<std::uint16_t>(threads - 1),
-        std::make_unique<PointerChaseStream>(probe_buf, regionBytes,
-                                             probe_accesses, opts.seed));
-    if (opts.onMachineDone)
-        opts.onMachineDone(*m);
-    return nsFromTicks(end - start) / static_cast<double>(probe_accesses);
+    return underBackgroundLoad(
+        target, threads, opts,
+        [&](Machine &m, const NumaBuffer &buf, std::uint16_t core) {
+            // A dependent-load probe in its own region.
+            constexpr std::uint64_t accesses = 3000;
+            const auto [start, end] = probeStream(
+                m, core,
+                std::make_unique<PointerChaseStream>(buf, regionBytes,
+                                                     accesses, opts.seed));
+            return nsFromTicks(end - start) / static_cast<double>(accesses);
+        });
 }
 
 LoadedLatencyDist
 runLoadedLatencyDist(Target target, std::uint32_t threads,
                      const Options &opts)
 {
-    CXLMEMO_ASSERT(threads >= 1, "need at least the probe thread");
-    auto m = makeMachine(target, opts, opts.prefetch);
-    const MemPolicy policy = MemPolicy::membind(targetNode(*m, target));
-    NumaBuffer probe_buf = m->numa().alloc(regionBytes, policy);
-    NumaBuffer bg_buf = m->numa().alloc(
-        std::uint64_t(std::max(threads, 2u) - 1) * regionBytes, policy);
-
-    const Flood flood = backgroundLoad(*m, threads, bg_buf);
-    m->runUntil(ticksFromUs(opts.warmupUs));
-
-    // Address draws distinct from the workload streams' seeds.
-    const SampleSeries window_ns =
-        probeWindows(*m, static_cast<std::uint16_t>(threads - 1), probe_buf,
-                     regionBytes, 200, 64, opts.seed + 0x715a);
-
-    LoadedLatencyDist dist;
-    dist.avgNs = window_ns.mean();
-    dist.p50Ns = window_ns.p50();
-    dist.p99Ns = window_ns.p99();
-    if (const RasStats *rs = m->rasStats())
-        dist.ras = *rs;
-    if (auto qs = m->qosStats())
-        dist.qos = *qs;
-    if (opts.onMachineDone)
-        opts.onMachineDone(*m);
-    return dist;
+    return underBackgroundLoad(
+        target, threads, opts,
+        [&](Machine &m, const NumaBuffer &buf, std::uint16_t core) {
+            // Address draws distinct from the workload streams' seeds.
+            const SampleSeries window_ns = probeWindows(
+                m, core, buf, regionBytes, 200, 64, opts.seed + 0x715a);
+            LoadedLatencyDist dist;
+            dist.avgNs = window_ns.mean();
+            dist.p50Ns = window_ns.p50();
+            dist.p99Ns = window_ns.p99();
+            if (const RasStats *rs = m.rasStats())
+                dist.ras = *rs;
+            if (auto qs = m.qosStats())
+                dist.qos = *qs;
+            return dist;
+        });
 }
 
 } // namespace memo

@@ -13,11 +13,11 @@
  *      (sequential, random block, pointer chase with a configurable
  *      working-set size).
  *
- * Every entry point builds a fresh deterministic Machine, so results
- * are reproducible and experiments cannot contaminate each other. The
- * entry points a custom machine can also run (a swapped CXL device, a
- * toggled NUMA knob) take that Machine instead of a Target's default;
- * every one measures through the harness at the end of this header.
+ * Every entry point that takes a Target builds a fresh deterministic
+ * Machine, so results are reproducible and experiments cannot
+ * contaminate each other; the Machine& forms run on a caller's machine
+ * instead (a swapped CXL device, a toggled NUMA knob). All of them
+ * measure through the harness at the end of this header.
  */
 
 #ifndef CXLMEMO_MEMO_MEMO_HH
@@ -377,8 +377,8 @@ class Flood
 };
 
 /**
- * Run @p stream to completion on @p core of an idle @p machine: the
- * machine runs until its queue drains.
+ * Run @p stream to completion on @p core of an otherwise idle @p m:
+ * the machine runs until its queue drains.
  * @return (startTick, endTick).
  */
 std::pair<Tick, Tick> runStream(Machine &m, std::uint16_t core,
