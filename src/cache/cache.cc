@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <new>
 #include <stdexcept>
 
 namespace cxlmemo
@@ -41,10 +42,20 @@ SetAssocCache::SetAssocCache(CacheParams params)
         params_.sizeBytes / (cachelineBytes * params_.assoc));
     // Power-of-two sets keep indexing a mask, like real hardware.
     numSets_ = roundDownPow2(raw_sets);
-    tags_.resize(static_cast<std::size_t>(numSets_) * params_.assoc);
-    order_.resize(numSets_);
+    tags_ = zeroedWords(static_cast<std::size_t>(numSets_) * params_.assoc);
+    order_ = zeroedWords(numSets_);
     for (std::uint64_t w = 0; w < params_.assoc; ++w)
         identity_ |= w << (4 * w);
+}
+
+SetAssocCache::Words
+SetAssocCache::zeroedWords(std::size_t n)
+{
+    Words words(static_cast<std::uint64_t *>(
+        std::calloc(n, sizeof(std::uint64_t))));
+    if (!words)
+        throw std::bad_alloc();
+    return words;
 }
 
 std::uint32_t
@@ -172,8 +183,8 @@ SetAssocCache::invalidate(std::uint64_t lineAddr)
 void
 SetAssocCache::flushAll()
 {
-    std::fill(tags_.begin(), tags_.end(), 0);
-    std::fill(order_.begin(), order_.end(), 0);
+    std::fill_n(tags_.get(), std::size_t(numSets_) * params_.assoc, 0);
+    std::fill_n(order_.get(), numSets_, 0);
 }
 
 } // namespace cxlmemo

@@ -14,9 +14,10 @@
 #define CXLMEMO_CACHE_CACHE_HH
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -177,8 +178,19 @@ class SetAssocCache
 
     CacheParams params_;
     std::uint32_t numSets_;
-    std::vector<std::uint64_t> tags_;  //!< numSets_ * assoc, set-major
-    std::vector<std::uint64_t> order_; //!< one per set, ^ identity_
+    struct FreeWords
+    {
+        void operator()(std::uint64_t *p) const { std::free(p); }
+    };
+    using Words = std::unique_ptr<std::uint64_t[], FreeWords>;
+
+    /** @p n zeroed words from calloc, which leaves pages fresh from
+     *  the OS untouched: building a cache faults in nothing, and a
+     *  set's page faults in when the set is first used. */
+    static Words zeroedWords(std::size_t n);
+
+    Words tags_;  //!< numSets_ * assoc, set-major
+    Words order_; //!< one per set, ^ identity_
     std::uint64_t identity_ = 0;       //!< nibble i holds way i
     CacheStats stats_;
 };
