@@ -42,20 +42,14 @@ SetAssocCache::SetAssocCache(CacheParams params)
         params_.sizeBytes / (cachelineBytes * params_.assoc));
     // Power-of-two sets keep indexing a mask, like real hardware.
     numSets_ = roundDownPow2(raw_sets);
-    tags_ = zeroedWords(static_cast<std::size_t>(numSets_) * params_.assoc);
-    order_ = zeroedWords(numSets_);
+    const std::size_t ways = std::size_t(numSets_) * params_.assoc;
+    constexpr std::size_t word = sizeof(std::uint64_t);
+    tags_.reset(static_cast<std::uint64_t *>(std::calloc(ways, word)));
+    order_.reset(static_cast<std::uint64_t *>(std::calloc(numSets_, word)));
+    if (!tags_ || !order_)
+        throw std::bad_alloc();
     for (std::uint64_t w = 0; w < params_.assoc; ++w)
         identity_ |= w << (4 * w);
-}
-
-SetAssocCache::Words
-SetAssocCache::zeroedWords(std::size_t n)
-{
-    Words words(static_cast<std::uint64_t *>(
-        std::calloc(n, sizeof(std::uint64_t))));
-    if (!words)
-        throw std::bad_alloc();
-    return words;
 }
 
 std::uint32_t

@@ -178,19 +178,15 @@ class SetAssocCache
 
     CacheParams params_;
     std::uint32_t numSets_;
-    struct FreeWords
+    struct Free
     {
         void operator()(std::uint64_t *p) const { std::free(p); }
     };
-    using Words = std::unique_ptr<std::uint64_t[], FreeWords>;
-
-    /** @p n zeroed words from calloc, which leaves pages fresh from
-     *  the OS untouched: building a cache faults in nothing, and a
-     *  set's page faults in when the set is first used. */
-    static Words zeroedWords(std::size_t n);
-
-    Words tags_;  //!< numSets_ * assoc, set-major
-    Words order_; //!< one per set, ^ identity_
+    /** Set-major tag words (numSets_ * assoc) and one order word per
+     *  set (^ identity_), zeroed by calloc, which leaves pages fresh
+     *  from the OS untouched: a build faults in none of them. */
+    std::unique_ptr<std::uint64_t[], Free> tags_;
+    std::unique_ptr<std::uint64_t[], Free> order_;
     std::uint64_t identity_ = 0;       //!< nibble i holds way i
     CacheStats stats_;
 };

@@ -29,15 +29,6 @@ testbedFor(Target target)
 }
 
 std::unique_ptr<Machine>
-makeMachine(Target target, bool prefetch, const FaultSpec &faults)
-{
-    MachineOptions opts;
-    opts.prefetchEnabled = prefetch;
-    opts.faults = faults;
-    return std::make_unique<Machine>(testbedFor(target), opts);
-}
-
-std::unique_ptr<Machine>
 makeMachine(Target target, const Options &opts, bool prefetch)
 {
     MachineOptions mo;

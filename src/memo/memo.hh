@@ -312,10 +312,6 @@ double runCopyBandwidth(CopyPath path, CopyMethod method,
 /** The testbed whose machine hosts @p target. */
 Testbed testbedFor(Target target);
 
-/** Build the machine that hosts @p target. */
-std::unique_ptr<Machine> makeMachine(Target target, bool prefetch,
-                                     const FaultSpec &faults = {});
-
 /** Build the machine that hosts @p target with the full option set
  *  (faults, QoS, watchdog); @p prefetch overrides opts.prefetch for
  *  probes that always run with prefetching off. */
