@@ -1,7 +1,7 @@
 /**
  * @file
- * The measurement harness every MEMO experiment, application model and
- * bench runs through: floods, windows and probes (see memo.hh).
+ * Floods, windows and probes: the harness memo's experiments, the
+ * DLRM model and the benches measure through (see memo.hh).
  */
 
 #include "memo/memo.hh"
