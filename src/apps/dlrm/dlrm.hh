@@ -63,7 +63,6 @@ class DlrmModel
     makeWorkerStream(std::uint32_t worker, std::uint64_t *counter);
 
     std::uint64_t footprintBytes() const { return buffer_.size(); }
-    const DlrmParams &params() const { return params_; }
 
   private:
     DlrmParams params_;

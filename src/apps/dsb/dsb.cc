@@ -10,23 +10,9 @@ namespace cxlmemo
 namespace dsb
 {
 
-const char *
-requestTypeName(RequestType t)
-{
-    switch (t) {
-      case RequestType::ComposePost:
-        return "compose-post";
-      case RequestType::ReadUserTimeline:
-        return "read-user-timeline";
-      case RequestType::ReadHomeTimeline:
-        return "read-home-timeline";
-    }
-    return "?";
-}
-
-Stage::Stage(Machine &machine, std::string name, std::uint16_t firstCore,
+Stage::Stage(Machine &machine, std::uint16_t firstCore,
              std::uint32_t workers)
-    : machine_(machine), name_(std::move(name))
+    : machine_(machine)
 {
     CXLMEMO_ASSERT(workers > 0, "stage with no workers");
     for (std::uint32_t w = 0; w < workers; ++w) {
@@ -91,16 +77,16 @@ SocialNetwork::SocialNetwork(Machine &machine, DsbParams params,
         dbPlacement);
 
     std::uint16_t core = 0;
-    auto make = [&](const char *name, std::uint32_t n) {
-        auto s = std::make_unique<Stage>(machine, name, core, n);
+    auto make = [&](std::uint32_t n) {
+        auto s = std::make_unique<Stage>(machine, core, n);
         core = static_cast<std::uint16_t>(core + n);
         return s;
     };
-    nginx_ = make("nginx", params_.nginxWorkers);
-    logic_ = make("logic", params_.logicWorkers);
-    uniqueId_ = make("unique-id", params_.uniqueIdWorkers);
-    storage_ = make("post-storage", params_.storageWorkers);
-    cache_ = make("timeline-cache", params_.cacheWorkers);
+    nginx_ = make(params_.nginxWorkers);
+    logic_ = make(params_.logicWorkers);
+    uniqueId_ = make(params_.uniqueIdWorkers);
+    storage_ = make(params_.storageWorkers);
+    cache_ = make(params_.cacheWorkers);
     CXLMEMO_ASSERT(core <= machine.numCores(),
                    "stage workers exceed core count");
 }
@@ -117,14 +103,6 @@ SocialNetwork::latency(RequestType type) const
         return readHomeLat_;
     }
     CXLMEMO_PANIC("bad request type");
-}
-
-void
-SocialNetwork::resetLatencies()
-{
-    composeLat_.reset();
-    readUserLat_.reset();
-    readHomeLat_.reset();
 }
 
 std::vector<std::pair<std::string, std::uint64_t>>

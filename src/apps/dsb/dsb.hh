@@ -44,8 +44,6 @@ enum class RequestType : std::uint8_t
     ReadHomeTimeline,
 };
 
-const char *requestTypeName(RequestType t);
-
 /** Service graph and dataset parameters. */
 struct DsbParams
 {
@@ -87,20 +85,17 @@ class Stage
   public:
     using Done = InlineCallback<void(Tick end)>;
 
-    Stage(Machine &machine, std::string name, std::uint16_t firstCore,
-          std::uint32_t workers);
+    Stage(Machine &machine, std::uint16_t firstCore, std::uint32_t workers);
 
     /** Enqueue a work item (ops may be empty for pure compute). */
     void submit(std::vector<MemOp> ops, Done onDone);
 
-    const std::string &name() const { return name_; }
     std::uint64_t completed() const { return completed_; }
 
   private:
     void trySchedule();
 
     Machine &machine_;
-    std::string name_;
     std::vector<std::unique_ptr<HwThread>> workers_;
     std::vector<bool> busy_;
     std::deque<std::pair<std::vector<MemOp>, Done>> queue_;
@@ -123,13 +118,10 @@ class SocialNetwork
     void submit(RequestType type);
 
     const LatencyHistogram &latency(RequestType type) const;
-    void resetLatencies();
 
     /** Component -> resident bytes (Fig. 10's memory breakdown). */
     std::vector<std::pair<std::string, std::uint64_t>>
     memoryBreakdown() const;
-
-    const DsbParams &params() const { return params_; }
 
   private:
     void composePost(Tick arrival);

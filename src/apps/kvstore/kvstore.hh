@@ -81,8 +81,6 @@ class KvStore
     /** Total resident bytes (for the memory-breakdown reports). */
     std::uint64_t footprintBytes() const { return buffer_.size(); }
 
-    const NumaBuffer &buffer() const { return buffer_; }
-
   private:
     std::uint64_t bucketOffset(std::uint64_t key) const;
     std::uint64_t entryOffset(std::uint64_t key) const;

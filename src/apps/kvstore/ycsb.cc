@@ -5,20 +5,6 @@ namespace cxlmemo
 namespace kv
 {
 
-const char *
-keyDistName(KeyDist d)
-{
-    switch (d) {
-      case KeyDist::Uniform:
-        return "uni";
-      case KeyDist::Zipfian:
-        return "zipf";
-      case KeyDist::Latest:
-        return "lat";
-    }
-    return "?";
-}
-
 YcsbWorkload
 YcsbWorkload::a(KeyDist d)
 {

@@ -46,8 +46,6 @@ enum class KeyDist : std::uint8_t
     Latest,  //!< skewed toward the most recent inserts
 };
 
-const char *keyDistName(KeyDist d);
-
 /** Proportions of one workload; must sum to 1. */
 struct YcsbWorkload
 {
@@ -84,7 +82,6 @@ class YcsbGenerator
 
     YcsbRequest next();
 
-    const YcsbWorkload &workload() const { return workload_; }
     std::uint64_t keyCount() const { return keyCount_; }
 
   private:

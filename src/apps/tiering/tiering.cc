@@ -75,30 +75,6 @@ TieredBuffer::migrate(std::uint64_t page, bool toDram, Tick &cpuTime)
     pageOnDram_[page] = toDram;
 }
 
-std::uint64_t
-TieredBuffer::evacuateCxl(Tick &cpuTime)
-{
-    std::uint64_t moved = 0;
-    for (std::uint64_t p = 0; p < numPages(); ++p) {
-        if (pageOnDram_[p])
-            continue;
-        migrate(p, /*toDram=*/true, cpuTime);
-        moved += std::min<std::uint64_t>(pageBytes,
-                                         bytes_ - p * pageBytes);
-    }
-    return moved;
-}
-
-std::uint64_t
-TieredBuffer::promoteIfResident(Addr paddr, Tick &cpuTime)
-{
-    const std::uint64_t p = cxlFrames_.pageOf(paddr);
-    if (p == NumaBuffer::npos || pageOnDram_[p])
-        return 0;
-    migrate(p, /*toDram=*/true, cpuTime);
-    return std::min<std::uint64_t>(pageBytes, bytes_ - p * pageBytes);
-}
-
 void
 TieredBuffer::scan()
 {

@@ -105,24 +105,7 @@ class TieredBuffer
     /** Start the background daemon (idempotent). */
     void startDaemon();
 
-    /**
-     * Failure response to a device hot-remove: promote every
-     * CXL-resident page to DRAM, overriding the DRAM budget --
-     * survival beats placement policy.
-     * @return bytes migrated off the dying device.
-     */
-    std::uint64_t evacuateCxl(Tick &cpuTime);
-
-    /**
-     * Failure response to a page offline: if @p paddr falls inside a
-     * CXL-resident page of this buffer, migrate that one page to DRAM.
-     * @return bytes migrated (0 when the address is not ours or the
-     *         page already lives on DRAM).
-     */
-    std::uint64_t promoteIfResident(Addr paddr, Tick &cpuTime);
-
     const TieringStats &stats() const { return stats_; }
-    const TieringParams &params() const { return params_; }
     double
     dramResidency() const
     {

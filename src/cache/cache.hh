@@ -160,7 +160,6 @@ class SetAssocCache
     /** Remove the first matching line; @return its prior state. */
     LineState invalidate(std::uint64_t lineAddr);
 
-    const CacheParams &params() const { return params_; }
     CacheStats &stats() { return stats_; }
     const CacheStats &stats() const { return stats_; }
 

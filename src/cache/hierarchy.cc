@@ -61,12 +61,6 @@ CacheHierarchy::l1Stats(std::uint16_t core) const
     return l1_.at(core).stats();
 }
 
-const CacheStats &
-CacheHierarchy::l2Stats(std::uint16_t core) const
-{
-    return l2_.at(core).stats();
-}
-
 void
 CacheHierarchy::writebackLine(std::uint64_t la, std::uint16_t source,
                               Tick at, Done cb)

@@ -144,9 +144,6 @@ class CacheHierarchy
     std::optional<Tick> clwb(std::uint16_t core, Addr paddr, Tick at,
                              Done cb);
 
-    void setPrefetch(bool on) { params_.prefetchEnabled = on; }
-    bool prefetchEnabled() const { return params_.prefetchEnabled; }
-
     /** Drop all cached state (between experiment repetitions). */
     void flushAllCaches();
 
@@ -161,7 +158,6 @@ class CacheHierarchy
 
     const HierarchyParams &params() const { return params_; }
     const CacheStats &l1Stats(std::uint16_t core) const;
-    const CacheStats &l2Stats(std::uint16_t core) const;
     const CacheStats &llcStats() const { return llc_->stats(); }
     const PrefetchStats &prefetchStats() const { return pfStats_; }
 
@@ -169,7 +165,6 @@ class CacheHierarchy
     std::uint64_t tlbWalks() const { return tlbWalks_; }
     std::uint64_t stlbHits() const { return stlbHits_; }
 
-    NumaSpace &numa() { return numa_; }
     EventQueue &eventQueue() { return eq_; }
 
     /** Wire up fault injection (poison tracking); nullptr disables. */

@@ -181,22 +181,6 @@ class PointerChaseStream : public AccessStream
     std::uint64_t remaining_;
 };
 
-/** Stream driven by a lambda; used by the application models. */
-class FnStream : public AccessStream
-{
-  public:
-    /** Application op generators capture whole cursors (several
-     *  pointers and counters), so give them a wider inline budget. */
-    using Fn = InlineCallback<bool(MemOp &), 64>;
-
-    explicit FnStream(Fn fn) : fn_(std::move(fn)) {}
-
-    bool next(MemOp &op) override { return fn_(op); }
-
-  private:
-    Fn fn_;
-};
-
 /** Fixed list of ops (tests and one-shot probes). */
 class ListStream : public AccessStream
 {

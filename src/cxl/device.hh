@@ -172,7 +172,6 @@ class CxlMemDevice : public MemoryDevice, public ProgressSource
     void access(MemRequest req) override;
     const std::string &name() const override { return params_.name; }
 
-    const CxlDeviceParams &params() const { return params_; }
     DeviceStats backendStats() const { return backend_->stats(); }
     const CxlControllerStats &controllerStats() const { return ctrlStats_; }
     std::uint64_t bytesDown() const { return down_.bytesMoved(); }
@@ -226,9 +225,6 @@ class CxlMemDevice : public MemoryDevice, public ProgressSource
      *  Never called = all accounting off (the default). */
     void setAttribution(AttributionBoard *board);
 
-    /** M2S credit pools (nullptr when credits are disabled). */
-    const LinkCredits *credits() const { return down_.credits(); }
-
     /** The credit-leak invariant across both message classes. */
     bool
     creditLedgerOk() const
@@ -281,9 +277,6 @@ class CxlMemDevice : public MemoryDevice, public ProgressSource
     {
         chaosAnnounce_ = std::move(sink);
     }
-
-    /** False while hot-removed. True when chaos is unarmed. */
-    bool present() const { return !chaos_ || chaos_->present; }
 
     /** Device-side chaos accounting (link FSM + removal FSM);
      *  all-zero when chaos is unarmed. */

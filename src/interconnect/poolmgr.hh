@@ -80,7 +80,6 @@ class PoolManager
     PoolManager(std::uint32_t devices, std::uint64_t bytesPerDevice,
                 std::uint64_t segmentBytes = miB);
 
-    std::uint32_t devices() const { return numDevices_; }
     std::uint64_t segmentBytes() const { return segBytes_; }
     std::uint64_t totalBytes() const
     {

@@ -187,11 +187,6 @@ class CxlSwitch : public ProgressSource
               std::vector<MemoryDevice *> downstream);
 
     const CxlSwitchParams &params() const { return params_; }
-    std::uint32_t numPorts() const { return params_.ports; }
-    std::uint32_t numDevices() const
-    {
-        return static_cast<std::uint32_t>(devices_.size());
-    }
 
     /**
      * Functional-data hook, invoked once per operation at device

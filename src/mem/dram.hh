@@ -134,7 +134,6 @@ class DramChannel : public MemoryDevice
     void access(MemRequest req) override;
     const std::string &name() const override { return params_.name; }
 
-    const DramChannelParams &params() const { return params_; }
     const DeviceStats &stats() const { return stats_; }
     void resetStats() { stats_ = DeviceStats{}; }
 

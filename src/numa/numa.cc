@@ -176,26 +176,6 @@ NumaSpace::alloc(std::uint64_t bytes, const MemPolicy &policy)
             buf.pagePaddr_.push_back(takePage(n));
         break;
       }
-      case MemPolicy::Kind::Preferred: {
-        std::size_t which = 0;
-        for (std::uint64_t p = 0; p < pages; ++p) {
-            while (which < live.size()
-                   && nodes_[live[which]].freeBytes() < pageBytes) {
-                ++which;
-            }
-            if (which == live.size())
-                CXLMEMO_FATAL("preferred policy exhausted all nodes");
-            buf.pagePaddr_.push_back(takePage(live[which]));
-        }
-        break;
-      }
-      case MemPolicy::Kind::Interleave: {
-        for (std::uint64_t p = 0; p < pages; ++p) {
-            const NodeId n = live[p % live.size()];
-            buf.pagePaddr_.push_back(takePage(n));
-        }
-        break;
-      }
       case MemPolicy::Kind::Weighted: {
         const std::uint64_t cycle = std::accumulate(
             liveWeights.begin(), liveWeights.end(), std::uint64_t(0));

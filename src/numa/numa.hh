@@ -10,10 +10,9 @@
  *
  * Allocation mirrors the Linux interfaces the paper uses:
  *  - membind    (numactl --membind)
- *  - preferred  (numactl --preferred)
- *  - interleave (numactl --interleave)
  *  - weighted N:M interleave (the tiering patch the paper applies to
- *    get e.g. a 30:1 DRAM:CXL split = 3.23% on CXL)
+ *    get e.g. a 30:1 DRAM:CXL split = 3.23% on CXL; unit weights are
+ *    numactl --interleave)
  */
 
 #ifndef CXLMEMO_NUMA_NUMA_HH
@@ -62,10 +61,8 @@ struct MemPolicy
 {
     enum class Kind
     {
-        Membind,    //!< all pages on one node; fatal if it fills up
-        Preferred,  //!< fill one node first, then spill in node order
-        Interleave, //!< round-robin across nodes
-        Weighted,   //!< N:M round-robin (Linux weighted interleave)
+        Membind,  //!< all pages on one node; fatal if it fills up
+        Weighted, //!< N:M round-robin (Linux weighted interleave)
     };
 
     Kind kind = Kind::Membind;
@@ -73,20 +70,6 @@ struct MemPolicy
     std::vector<std::uint32_t> weights = {}; //!< parallel to nodes (Weighted)
 
     static MemPolicy membind(NodeId n) { return {Kind::Membind, {n}, {}}; }
-
-    static MemPolicy
-    preferred(NodeId n, std::vector<NodeId> fallback)
-    {
-        std::vector<NodeId> order{n};
-        order.insert(order.end(), fallback.begin(), fallback.end());
-        return {Kind::Preferred, std::move(order), {}};
-    }
-
-    static MemPolicy
-    interleave(std::vector<NodeId> nodes)
-    {
-        return {Kind::Interleave, std::move(nodes), {}};
-    }
 
     static MemPolicy
     weighted(std::vector<NodeId> nodes, std::vector<std::uint32_t> weights)
@@ -157,13 +140,6 @@ class NumaBuffer
     {
         CXLMEMO_ASSERT(offset < size_, "offset beyond buffer");
         return pagePaddr_[offset / pageBytes] + offset % pageBytes;
-    }
-
-    /** @return the node holding the page at @p offset. */
-    NodeId
-    nodeAt(std::uint64_t offset) const
-    {
-        return nodeOfPaddr(translate(offset));
     }
 
     /** Fraction of pages resident on @p node. */

@@ -144,7 +144,7 @@ class InlineCallback<R(Args...), InlineBytes>
     {
         void (*relocate)(void *dst, void *src); //!< null => memcpy
         void (*destroy)(void *target);          //!< null => no-op
-        std::uint32_t bytes;                    //!< memcpy length
+        std::uint32_t bytes; //!< memcpy length; 0 for empty types
         bool onHeap;
     };
 
@@ -179,7 +179,9 @@ class InlineCallback<R(Args...), InlineBytes>
         std::is_trivially_destructible_v<D>
             ? nullptr
             : +[](void *target) { static_cast<D *>(target)->~D(); },
-        /*bytes=*/sizeof(D),
+        // An empty type's one byte is indeterminate; copying it would
+        // read uninitialised storage.
+        /*bytes=*/std::is_empty_v<D> ? 0 : sizeof(D),
         /*onHeap=*/false,
     };
 

@@ -47,22 +47,14 @@ ChaosSpec::validate() const
     if (maxOfflinePages == 0 || maxOfflinePages > 4096)
         throw std::invalid_argument(
             "ChaosSpec: max-offline-pages must be in [1,4096]");
-}
-
-std::string
-ChaosSpec::toString() const
-{
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "link-down-at-ns=%llu,retrain-ns=%g,step-up-ns=%g,"
-                  "crc-burst=%u,remove-at-ns=%llu,readd-at-ns=%llu,"
-                  "contain=%s,offline-threshold=%u",
-                  static_cast<unsigned long long>(linkDownAtNs),
-                  retrainNs, stepUpNs, crcBurstTrigger,
-                  static_cast<unsigned long long>(removeAtNs),
-                  static_cast<unsigned long long>(readdAtNs),
-                  containPolicyName(contain), offlineThreshold);
-    return buf;
+    requireTicks("ChaosSpec", "link-down-at-ns",
+                 static_cast<double>(linkDownAtNs));
+    requireTicks("ChaosSpec", "retrain-ns", retrainNs);
+    requireTicks("ChaosSpec", "step-up-ns", stepUpNs);
+    requireTicks("ChaosSpec", "remove-at-ns",
+                 static_cast<double>(removeAtNs));
+    requireTicks("ChaosSpec", "readd-at-ns", static_cast<double>(readdAtNs));
+    requireTicks("ChaosSpec", "abort-ns", abortNs);
 }
 
 std::optional<ChaosSpec>

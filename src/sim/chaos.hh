@@ -99,8 +99,6 @@ struct ChaosSpec
     /** @throw std::invalid_argument on out-of-range values. */
     void validate() const;
 
-    std::string toString() const;
-
     /**
      * Parse "key=value,key=value" (keys: link-down-at-ns, retrain-ns,
      * step-up-ns, crc-burst, remove-at-ns, readd-at-ns, contain,

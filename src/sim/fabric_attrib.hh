@@ -134,11 +134,6 @@ class FabricBoard
     explicit FabricBoard(std::uint32_t ports, std::uint32_t devices = 1,
                          Tick now = 0);
 
-    std::uint32_t ports() const
-    {
-        return static_cast<std::uint32_t>(ports_.size());
-    }
-
     AccountedStation &
     station(std::uint32_t port, FabricStation id)
     {

@@ -86,7 +86,7 @@ FaultSpec::parse(const std::string &text, std::string &error)
                 return parseSpecValue(value, spec.dramStallRate);
             double ns = 0.0;
             if (key == "stall-ns" && parseSpecValue(value, ns)
-                && ns >= 0.0) {
+                && fitsTicks(ns)) {
                 spec.drainStallTicks = ticksFromNs(ns);
                 spec.dramStallTicks = ticksFromNs(ns);
                 return true;

@@ -171,7 +171,6 @@ class FaultInjector
 
     const FaultSpec &spec() const { return spec_; }
     RasStats &stats() { return stats_; }
-    const RasStats &stats() const { return stats_; }
 
     /* ------------------------- decisions ------------------------- */
 

@@ -79,13 +79,6 @@ class MemoryFailureHandler
 
     const ChaosStats &stats() const { return stats_; }
 
-    void
-    resetStats()
-    {
-        stats_ = ChaosStats{};
-        ledger_.clear();
-    }
-
   private:
     struct Entry
     {

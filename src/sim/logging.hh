@@ -84,14 +84,15 @@ std::string format(const char *fmt, ...)
 /**
  * Assert an internal invariant; compiled in all build types. The
  * stringified condition is passed as *data*, never as a format string
- * (conditions routinely contain '%').
+ * (conditions routinely contain '%'). The message is optional.
  */
 #define CXLMEMO_ASSERT(cond, ...)                                            \
     do {                                                                     \
         if (!(cond)) {                                                       \
             ::cxlmemo::logging_detail::assertFailImpl(                       \
                 __FILE__, __LINE__, #cond,                                   \
-                ::cxlmemo::logging_detail::format("" __VA_ARGS__));          \
+                ::std::string(__VA_OPT__(                                    \
+                    ::cxlmemo::logging_detail::format(__VA_ARGS__))));       \
         }                                                                    \
     } while (0)
 

@@ -142,25 +142,4 @@ MetricsRegistry::flush(Tick now)
         appendRow(now, c.name, "total", c.read());
 }
 
-void
-MetricsRegistry::reset()
-{
-    rows_.clear();
-    snapshots_ = 0;
-    flushed_ = false;
-    for (Counter &c : counters_)
-        c.last = c.read();
-    for (Gauge &g : gauges_)
-        g.emitted = false;
-    for (Hist &h : hists_) {
-        if (const LatencyHistogram *src = h.read()) {
-            h.last = src->bucketCounts();
-            h.lastCount = src->count();
-        } else {
-            h.last.fill(0);
-            h.lastCount = 0;
-        }
-    }
-}
-
 } // namespace cxlmemo

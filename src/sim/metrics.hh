@@ -97,7 +97,7 @@ class MetricsRegistry
     /**
      * Final accounting at end of run: a last delta snapshot (so no
      * tail activity is lost) followed by one total row per counter.
-     * Idempotent per run; reset() starts a new one.
+     * Idempotent.
      */
     void flush(Tick now);
 
@@ -107,9 +107,6 @@ class MetricsRegistry
     static const char *csvHeader() { return "time_ns,metric,kind,value"; }
 
     std::uint64_t snapshots() const { return snapshots_; }
-
-    /** Clear rows and re-baseline counters (between sweep points). */
-    void reset();
 
   private:
     struct Counter
@@ -186,7 +183,6 @@ class MetricsSampler
     }
 
     bool armed() const { return armed_; }
-    Tick interval() const { return interval_; }
 
   private:
     ObserverClock clock_;

@@ -85,9 +85,6 @@ class ParallelExecutor
         return static_cast<std::uint32_t>(domains_.size());
     }
 
-    Tick lookahead() const { return lookahead_; }
-    std::uint32_t threads() const { return threads_; }
-
     /**
      * Stage @p cb from domain @p src for execution in domain @p dst at
      * @p when (floored at the current window end for cross-domain

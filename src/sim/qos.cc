@@ -10,34 +10,6 @@
 namespace cxlmemo
 {
 
-const char *
-qosPolicyName(QosPolicy p)
-{
-    switch (p) {
-      case QosPolicy::None:
-        return "none";
-      case QosPolicy::Aimd:
-        return "aimd";
-    }
-    return "?";
-}
-
-const char *
-devLoadName(DevLoad l)
-{
-    switch (l) {
-      case DevLoad::Light:
-        return "light";
-      case DevLoad::Optimal:
-        return "optimal";
-      case DevLoad::Moderate:
-        return "moderate";
-      case DevLoad::Severe:
-        return "severe";
-    }
-    return "?";
-}
-
 namespace
 {
 
@@ -77,18 +49,6 @@ QosSpec::validate() const
     if (lineCost == 0)
         throw std::invalid_argument(
             "QosSpec: line-ns must be positive");
-}
-
-std::string
-QosSpec::toString() const
-{
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "rd-credits=%u,wr-credits=%u,policy=%s,target=%g,"
-                  "floor=%g,burst=%u",
-                  rdCredits, wrCredits, qosPolicyName(policy), target,
-                  floor, burstLines);
-    return buf;
 }
 
 std::optional<QosSpec>

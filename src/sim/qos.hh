@@ -56,8 +56,6 @@ enum class QosPolicy : std::uint8_t
     Aimd, //!< additive increase / multiplicative decrease
 };
 
-const char *qosPolicyName(QosPolicy p);
-
 /** The four load levels of CXL QoS telemetry (DevLoad). */
 enum class DevLoad : std::uint8_t
 {
@@ -66,8 +64,6 @@ enum class DevLoad : std::uint8_t
     Moderate, //!< above target: back off additively
     Severe,   //!< far above target: back off multiplicatively
 };
-
-const char *devLoadName(DevLoad l);
 
 /**
  * Overload-control configuration, parsed from the `--qos-spec`
@@ -116,9 +112,6 @@ struct QosSpec
 
     /** Throws std::invalid_argument on out-of-range values. */
     void validate() const;
-
-    /** Render in the `--qos-spec` grammar (only non-default keys). */
-    std::string toString() const;
 
     /**
      * Parse the `--qos-spec` grammar.
@@ -246,13 +239,6 @@ class DevLoadMeter
     double load() const { return load_; }
     DevLoad level() const;
 
-    void reset()
-    {
-        load_ = 0.0;
-        prev_ = 0.0;
-        last_ = 0;
-    }
-
   private:
     double tau_;
     double target_;
@@ -284,8 +270,6 @@ struct QosStats
     std::uint64_t rateDecreases = 0;
     std::uint64_t throttleDelays = 0;     //!< paced issues
     std::uint64_t throttleDelayTicks = 0; //!< total pacing delay
-
-    void reset() { *this = QosStats{}; }
 
     /** Single-line `key=value` rendering for reports and CI greps. */
     std::string summary() const;
@@ -319,11 +303,6 @@ class HostThrottle
     Tick issueDelay(std::uint16_t core, Tick at);
 
     double rate() const { return rate_; }
-    double minRate() const { return minRate_; }
-    std::uint64_t rateIncreases() const { return increases_; }
-    std::uint64_t rateDecreases() const { return decreases_; }
-    std::uint64_t throttleDelays() const { return delays_; }
-    std::uint64_t throttleDelayTicks() const { return delayTicks_; }
 
     void fillStats(QosStats &qs) const;
 

@@ -90,14 +90,6 @@ class Rng
         return static_cast<std::uint64_t>(m >> 64);
     }
 
-    /** Uniform integer in [lo, hi] inclusive. */
-    std::uint64_t
-    between(std::uint64_t lo, std::uint64_t hi)
-    {
-        CXLMEMO_ASSERT(hi >= lo, "between() with inverted range");
-        return lo + below(hi - lo + 1);
-    }
-
     /** Uniform double in [0, 1). */
     double
     uniform()
@@ -162,8 +154,6 @@ class ZipfianGenerator
             * std::pow(eta_ * u - eta_ + 1.0, alpha_));
         return idx >= items_ ? items_ - 1 : idx;
     }
-
-    std::uint64_t items() const { return items_; }
 
   private:
     static double

@@ -48,12 +48,32 @@ parseSpecValue(const std::string &v, double &out)
     return true;
 }
 
+/** Whether @p ns, a spec's time or duration in ns, converts to ticks
+ *  without overflow (ticksFromNs is undefined at 2^64 ticks and up).
+ *  NaN and negative values fail. */
+constexpr bool
+fitsTicks(double ns)
+{
+    return ns >= 0.0 && ns * static_cast<double>(tickPerNs) + 0.5 < 0x1p64;
+}
+
+/** Throw std::invalid_argument, naming @p key of @p spec, unless @p ns
+ *  passes fitsTicks(). */
+inline void
+requireTicks(const char *spec, const char *key, double ns)
+{
+    if (!fitsTicks(ns)) {
+        throw std::invalid_argument(std::string(spec) + ": " + key
+                                    + " must be in [0, 1.8e16] ns");
+    }
+}
+
 /** @p v as a positive duration in ns, stored as ticks. */
 inline bool
 parseSpecNs(const std::string &v, Tick &out)
 {
     double ns = 0.0;
-    if (!parseSpecValue(v, ns) || !(ns > 0.0))
+    if (!parseSpecValue(v, ns) || !(ns > 0.0) || !fitsTicks(ns))
         return false;
     out = ticksFromNs(ns);
     return true;

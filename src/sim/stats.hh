@@ -29,9 +29,6 @@ class SampleSeries
   public:
     void record(double v) { samples_.push_back(v); }
 
-    std::uint64_t count() const { return samples_.size(); }
-    bool empty() const { return samples_.empty(); }
-
     double
     mean() const
     {
@@ -69,16 +66,6 @@ class SampleSeries
 
     double p50() const { return percentile(50.0); }
     double p99() const { return percentile(99.0); }
-
-    double
-    max() const
-    {
-        if (samples_.empty())
-            return 0.0;
-        return *std::max_element(samples_.begin(), samples_.end());
-    }
-
-    void reset() { samples_.clear(); }
 
   private:
     std::vector<double> samples_;

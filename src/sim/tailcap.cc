@@ -158,14 +158,6 @@ TailCapture::merge(const TailCapture &o)
     }
 }
 
-void
-TailCapture::reset()
-{
-    considered_ = 0;
-    for (auto &cls : classes_)
-        cls.clear();
-}
-
 std::uint64_t
 TailCapture::held() const
 {

@@ -102,7 +102,6 @@ class TailCapture
     explicit TailCapture(std::uint32_t k = 0) : k_(k) {}
 
     std::uint32_t k() const { return k_; }
-    bool armed() const { return k_ > 0; }
     std::uint64_t considered() const { return considered_; }
     std::uint64_t held() const;
 
@@ -115,8 +114,6 @@ class TailCapture
      *  roll-ups, parallel shards). Adopts @p o's depth when this
      *  capture was default-constructed with k == 0. */
     void merge(const TailCapture &o);
-
-    void reset();
 
     /** Retained outliers of one regime class, worse-first. */
     const std::vector<TailSpan> &

@@ -130,8 +130,6 @@ RequestTracer::finish(TraceSpan *span, Tick at)
     }
     if (completed_.size() < maxCompleted_)
         completed_.push_back(std::move(*done));
-    else
-        ++dropped_;
     free_.push_back(std::move(done));
 }
 

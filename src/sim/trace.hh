@@ -176,7 +176,6 @@ class RequestTracer
     std::uint64_t seen() const { return seen_; }
     std::size_t openCount() const { return open_.size(); }
     std::size_t completedCount() const { return completed_.size(); }
-    std::uint64_t dropped() const { return dropped_; }
 
     const std::deque<TraceSpan> &ring() const { return ring_; }
 
@@ -206,7 +205,6 @@ class RequestTracer
     /** Requests until the next sample (1 == sample the next one). */
     std::uint64_t countdown_ = 1;
     std::uint64_t nextId_ = 0;
-    std::uint64_t dropped_ = 0;
 
     /** Worst-K tail capture (null = sampled tracing only). */
     std::unique_ptr<TailCapture> tail_;
@@ -223,7 +221,7 @@ class RequestTracer
     std::deque<TraceSpan> ring_;
 
     /** Export-set bound: past this, spans still feed the ring but are
-     *  dropped from the JSON (counted in dropped_). */
+     *  dropped from the JSON. */
     static constexpr std::size_t maxCompleted_ = 1u << 20;
 };
 

@@ -44,13 +44,6 @@ ticksFromUs(double us)
     return ticksFromNs(us * 1e3);
 }
 
-/** Convert milliseconds to ticks. */
-constexpr Tick
-ticksFromMs(double ms)
-{
-    return ticksFromNs(ms * 1e6);
-}
-
 /** Convert seconds to ticks. */
 constexpr Tick
 ticksFromSec(double sec)

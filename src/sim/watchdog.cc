@@ -141,12 +141,12 @@ Watchdog::trip(const std::string &why)
     }
     for (const auto &dump : postMortems_)
         os << dump();
-    report_ = os.str();
+    const std::string report = os.str();
     if (onTrip_) {
-        onTrip_(report_);
+        onTrip_(report);
         return;
     }
-    std::fputs(report_.c_str(), stderr);
+    std::fputs(report.c_str(), stderr);
     std::abort();
 }
 

@@ -139,7 +139,6 @@ class Watchdog
     void arm();
 
     bool tripped() const { return tripped_; }
-    const std::string &report() const { return report_; }
     std::uint64_t snapshots() const { return snapshots_; }
     bool armed() const { return armed_; }
 
@@ -167,7 +166,6 @@ class Watchdog
     std::uint64_t lastRetired_ = 0;
     std::uint32_t strikes_ = 0;
     std::uint64_t snapshots_ = 0;
-    std::string report_;
 
     static constexpr std::size_t maxEvents = 64;
     std::vector<std::string> events_;

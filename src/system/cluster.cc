@@ -100,7 +100,7 @@ PoolSpec::validate() const
         throw std::invalid_argument(
             "PoolSpec: capacity-mb must be in [1,65536]");
     const std::uint64_t total = capacityMb * devices;
-    if (windowMb * hosts > total)
+    if (windowMb > total / hosts)
         throw std::invalid_argument(
             "PoolSpec: window-mb * hosts exceeds the pool");
     if (windowMb == 0 && hosts > total)
@@ -148,6 +148,13 @@ PoolSpec::validate() const
             "PoolSpec: poison-host and poison-every go together");
     if (ops > 100'000'000ULL)
         throw std::invalid_argument("PoolSpec: ops too large");
+    requireTicks("PoolSpec", "crash-at-ns", crashAtNs);
+    requireTicks("PoolSpec", "fence-check-ns", fenceCheckNs);
+    // The longest scrub quarantines the whole pool.
+    requireTicks("PoolSpec", "scrub-ns-per-mb",
+                 scrubNsPerMb * static_cast<double>(total));
+    requireTicks("PoolSpec", "port-down-at-ns", portDownAtNs);
+    requireTicks("PoolSpec", "retrain-ns", retrainNs);
 }
 
 std::string
@@ -259,8 +266,6 @@ HostDigest::operator==(const HostDigest &o) const
 }
 
 /* ------------------------------ Cluster -------------------------- */
-
-Cluster::Cluster(const PoolSpec &spec) : Cluster(spec, Options()) {}
 
 Cluster::Cluster(const PoolSpec &spec, Options opts)
     : spec_(spec), opts_(opts)
@@ -1016,12 +1021,6 @@ Cluster::inject(std::uint32_t host, MemCmd cmd, Addr hostAddr,
             done(d, shaped, v);
     };
     sw_->submit(host, loc.dev, std::move(op));
-}
-
-const std::map<Addr, std::uint64_t> &
-Cluster::poisonLedger(std::uint32_t host) const
-{
-    return hosts_[host].poisonLedger;
 }
 
 } // namespace cxlmemo

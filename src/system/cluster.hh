@@ -158,7 +158,6 @@ struct HostDigest
     std::uint64_t ledgerHash = 0; //!< FNV over the poison ledger
 
     bool operator==(const HostDigest &o) const;
-    bool operator!=(const HostDigest &o) const { return !(*this == o); }
 };
 
 /** Per-host result row (one CSV tier in `memo --mode pool`). */
@@ -248,7 +247,6 @@ class Cluster
         ObservabilityOptions obs;
     };
 
-    explicit Cluster(const PoolSpec &spec);
     Cluster(const PoolSpec &spec, Options opts);
     ~Cluster();
 
@@ -263,7 +261,6 @@ class Cluster
     CxlSwitch &fabric() { return *sw_; }
     PoolManager &pool() { return *pool_; }
     EventQueue &fabricQueue() { return eq_; }
-    Watchdog *watchdog() { return watchdog_.get(); }
     ParallelExecutor *executor() { return exec_.get(); }
 
     using InjectDone =
@@ -285,10 +282,6 @@ class Cluster
      *  same document run() returns; litmus tests drive inject() +
      *  runFabricUntil() and never call run()). */
     std::string traceJson() const { return exportTraceJson(); }
-
-    /** Poison ledger of @p host (host-window address -> count). */
-    const std::map<Addr, std::uint64_t> &
-    poisonLedger(std::uint32_t host) const;
 
   private:
     struct Slot

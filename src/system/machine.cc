@@ -290,7 +290,7 @@ testbedCores(Testbed testbed)
     return testbed == Testbed::DualSocket ? 40 : 32;
 }
 
-Machine::Machine(Testbed testbed, MachineOptions opts) : testbed_(testbed)
+Machine::Machine(Testbed testbed, MachineOptions opts)
 {
     using namespace testbed_params;
 

@@ -126,9 +126,6 @@ class Machine
     EventQueue &eq() { return eq_; }
     NumaSpace &numa() { return numa_; }
 
-    /** True when the domain-partitioned parallel engine is active. */
-    bool parallel() const { return exec_ != nullptr; }
-
     /** The parallel executor (nullptr when simThreads == 0). */
     ParallelExecutor *executor() { return exec_.get(); }
 
@@ -143,8 +140,6 @@ class Machine
 
     CacheHierarchy &caches() { return *caches_; }
     const CoreParams &coreParams() const { return coreParams_; }
-    Testbed testbed() const { return testbed_; }
-    const std::string &name() const { return name_; }
 
     std::uint32_t numCores() const { return caches_->params().numCores; }
 
@@ -270,7 +265,6 @@ class Machine
     std::string statsString() const;
 
   private:
-    Testbed testbed_;
     std::string name_;
     EventQueue eq_;
     NumaSpace numa_;

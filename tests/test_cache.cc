@@ -510,7 +510,9 @@ TEST_F(HierarchyTest, InclusiveLlcBackInvalidatesOwner)
 
 TEST_F(HierarchyTest, PrefetcherFetchesAheadOnStreams)
 {
-    hier->setPrefetch(true);
+    HierarchyParams p = hier->params();
+    p.prefetchEnabled = true;
+    hier = std::make_unique<CacheHierarchy>(eq, numa, p);
     for (std::uint64_t i = 0; i < 64; ++i) {
         hier->load(0, a(512 * kiB + i * cachelineBytes), eq.curTick(),
                    [](Tick) {});

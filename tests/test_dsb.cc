@@ -27,7 +27,7 @@ lightParams()
 TEST(DsbStage, RunsQueuedWorkInOrder)
 {
     Machine m(Testbed::SingleSocketCxl);
-    Stage stage(m, "s", 0, 1);
+    Stage stage(m, 0, 1);
     std::vector<int> done;
     for (int i = 0; i < 3; ++i) {
         stage.submit({{MemOp::Kind::Compute, 0, 0, ticksFromUs(10)}},
@@ -41,7 +41,7 @@ TEST(DsbStage, RunsQueuedWorkInOrder)
 TEST(DsbStage, PoolRunsWorkInParallel)
 {
     Machine m(Testbed::SingleSocketCxl);
-    Stage wide(m, "wide", 0, 4);
+    Stage wide(m, 0, 4);
     Tick last = 0;
     for (int i = 0; i < 4; ++i) {
         wide.submit({{MemOp::Kind::Compute, 0, 0, ticksFromUs(100)}},

@@ -491,7 +491,6 @@ TEST(Types, TickConversionsRoundTrip)
 {
     EXPECT_EQ(ticksFromNs(1.0), tickPerNs);
     EXPECT_EQ(ticksFromUs(1.0), 1000 * tickPerNs);
-    EXPECT_EQ(ticksFromMs(1.0), 1000000 * tickPerNs);
     EXPECT_DOUBLE_EQ(nsFromTicks(ticksFromNs(123.0)), 123.0);
     EXPECT_DOUBLE_EQ(usFromTicks(ticksFromUs(7.0)), 7.0);
 }

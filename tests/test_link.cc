@@ -82,7 +82,7 @@ TEST(Logging, FormatHandlesArguments)
     using logging_detail::format;
     EXPECT_EQ(format("plain"), "plain");
     EXPECT_EQ(format("x=%d y=%s", 7, "ok"), "x=7 y=ok");
-    EXPECT_EQ(format(""), "");
+    EXPECT_EQ(format("%s", ""), "");
 }
 
 TEST(LoggingDeathTest, AssertMessageKeepsPercentLiterals)

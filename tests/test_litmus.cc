@@ -65,7 +65,7 @@ drain(Cluster &c)
 
 TEST(Litmus, WriteThenReadSameHostObservesProgramOrder)
 {
-    Cluster c(twoHostSpec());
+    Cluster c(twoHostSpec(), {});
     Obs r;
     // Two writes to the same line back to back, then a read: the
     // read must observe the *second* write even though all three ops
@@ -81,7 +81,7 @@ TEST(Litmus, WriteThenReadSameHostObservesProgramOrder)
 
 TEST(Litmus, AliasedReaderSeesOwnersWrite)
 {
-    Cluster c(twoHostSpec());
+    Cluster c(twoHostSpec(), {});
     c.pool().setAlias(1, 0); // host 1 reads through host 0's window
     Obs w, r;
     c.inject(0, MemCmd::Write, 4096, 0x1234, observe(w));
@@ -96,7 +96,7 @@ TEST(Litmus, AliasedReaderSeesOwnersWrite)
 
 TEST(Litmus, UnaliasedTenantsNeverObserveEachOther)
 {
-    Cluster c(twoHostSpec());
+    Cluster c(twoHostSpec(), {});
     Obs r0, r1;
     // Both hosts use window address 0 -- exclusive ownership maps
     // them to *different* device lines, so host 1 must not see host
@@ -115,7 +115,7 @@ TEST(Litmus, UnaliasedTenantsNeverObserveEachOther)
 
 TEST(Litmus, NtStoreVisibleToAliasedReader)
 {
-    Cluster c(twoHostSpec());
+    Cluster c(twoHostSpec(), {});
     c.pool().setAlias(1, 0);
     Obs r;
     c.inject(0, MemCmd::NtWrite, 256, 0x77, {});
@@ -131,7 +131,7 @@ TEST(Litmus, PoisonLandsInTargetedHostsLedgerOnly)
     PoolSpec sp = twoHostSpec();
     sp.poisonHost = 0;
     sp.poisonEvery = 1; // every host-0 read completes poisoned
-    Cluster c(sp);
+    Cluster c(sp, {});
     Obs r0, r1;
     c.inject(0, MemCmd::Read, 64, 0, observe(r0));
     c.inject(1, MemCmd::Read, 64, 0, observe(r1));
@@ -151,7 +151,7 @@ TEST(Litmus, PoisonLandsInTargetedHostsLedgerOnly)
 TEST(Litmus, FencedHostsInjectionsAbortButPeerIsUntouched)
 {
     PoolSpec sp = twoHostSpec();
-    Cluster c(sp);
+    Cluster c(sp, {});
     c.fabric().fencePort(1, ContainPolicy::Abort);
     Obs r0, r1;
     c.inject(1, MemCmd::Read, 0, 0, observe(r1));

@@ -56,7 +56,7 @@ TEST(Machine, OptionsOverridePreset)
     Machine m(Testbed::SingleSocketCxl, o);
     EXPECT_EQ(m.numCores(), 8u);
     EXPECT_EQ(m.localMem().numChannels(), 4u);
-    EXPECT_TRUE(m.caches().prefetchEnabled());
+    EXPECT_TRUE(m.caches().params().prefetchEnabled);
 }
 
 TEST(Machine, ConfigStringMentionsAllNodes)

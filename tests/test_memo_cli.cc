@@ -247,6 +247,13 @@ TEST(MemoCli, ChaosSpecRejectsBadGrammar)
     EXPECT_FALSE(parse({"--chaos-spec", "contain=maybe"}).has_value());
     EXPECT_FALSE(parse({"--chaos-spec", "readd-at-ns=5"}).has_value());
     EXPECT_FALSE(parse({"--chaos-spec"}).has_value()); // missing value
+    // Times whose tick count overflows (they used to fire at t=0).
+    EXPECT_FALSE(parse({"--chaos-spec",
+                        "remove-at-ns=18446744073709551615"})
+                     .has_value());
+    EXPECT_FALSE(parse({"--chaos-spec",
+                        "link-down-at-ns=18446744073709551615"})
+                     .has_value());
 }
 
 TEST(MemoCli, EmptySpecValuesAreRejected)
@@ -538,6 +545,18 @@ TEST(MemoCli, PoolSpecRejectsBadGrammar)
     v = {"--mode", "pool", "--pool-spec", "frobnicate=1"};
     EXPECT_FALSE(parseCli(v, err).has_value());
     EXPECT_NE(err.find("pool-spec"), std::string::npos) << err;
+    // Values that overflow on the way to bytes or ticks: the window
+    // used to wrap to 1 MiB, the fence check to spin at one tick and
+    // the crash to strike at t=0.
+    for (const char *spec :
+         {"hosts=2,window-mb=9223372036854775809,ops=200",
+          "hosts=2,ops=200,fence-check-ns=1e30",
+          "hosts=2,ops=200,crash-host=1,crash-at-ns=1e30"}) {
+        err.clear();
+        v = {"--mode", "pool", "--pool-spec", spec};
+        EXPECT_FALSE(parseCli(v, err).has_value()) << spec;
+        EXPECT_FALSE(err.empty()) << spec;
+    }
 }
 
 TEST(MemoCli, PoolSpecRequiresPoolMode)

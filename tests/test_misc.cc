@@ -151,8 +151,8 @@ TEST(MemPolicy, InterleaveOverThreeNodesIsRoundRobin)
     Machine m(Testbed::DualSocket);
     NumaBuffer buf = m.numa().alloc(
         30 * pageBytes,
-        MemPolicy::interleave(
-            {m.localNode(), m.remoteNode(), m.cxlNode()}));
+        MemPolicy::weighted({m.localNode(), m.remoteNode(), m.cxlNode()},
+                            {1, 1, 1}));
     EXPECT_NEAR(buf.residencyOn(m.localNode()), 1.0 / 3, 1e-9);
     EXPECT_NEAR(buf.residencyOn(m.remoteNode()), 1.0 / 3, 1e-9);
     EXPECT_NEAR(buf.residencyOn(m.cxlNode()), 1.0 / 3, 1e-9);

@@ -105,11 +105,11 @@ TEST_F(NumaTest, TranslateIsPageConsistent)
 TEST_F(NumaTest, InterleaveAlternatesPages)
 {
     NumaBuffer buf = space.alloc(
-        16 * pageBytes, MemPolicy::interleave({dramNode, cxlNode}));
+        16 * pageBytes, MemPolicy::weighted({dramNode, cxlNode}, {1, 1}));
     EXPECT_DOUBLE_EQ(buf.residencyOn(dramNode), 0.5);
     EXPECT_DOUBLE_EQ(buf.residencyOn(cxlNode), 0.5);
     for (std::uint64_t p = 0; p < 16; ++p) {
-        EXPECT_EQ(buf.nodeAt(p * pageBytes),
+        EXPECT_EQ(nodeOfPaddr(buf.translate(p * pageBytes)),
                   (p % 2 == 0) ? dramNode : cxlNode);
     }
 }
@@ -143,16 +143,6 @@ TEST_F(NumaTest, SplitDramCxlFindsIntegerRatios)
               MemPolicy::Kind::Membind);
     EXPECT_EQ(MemPolicy::splitDramCxl(dramNode, cxlNode, 1.0).nodes[0],
               cxlNode);
-}
-
-TEST_F(NumaTest, PreferredSpillsWhenFull)
-{
-    // Fill the CXL node almost completely, then ask preferred(cxl).
-    space.alloc(15 * miB, MemPolicy::membind(cxlNode));
-    NumaBuffer buf = space.alloc(
-        4 * miB, MemPolicy::preferred(cxlNode, {dramNode}));
-    EXPECT_NEAR(buf.residencyOn(cxlNode), 0.25, 0.01);
-    EXPECT_NEAR(buf.residencyOn(dramNode), 0.75, 0.01);
 }
 
 TEST_F(NumaTest, ScatteredFramesAreAPermutation)

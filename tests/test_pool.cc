@@ -272,7 +272,7 @@ TEST(Pool, UndisturbedDigestsAgreeAcrossEngines)
     // timing-independence half of the blast-radius argument, across
     // engines rather than across disturbances.
     const PoolSpec sp = drillSpec(); // poisons host 2, crashes host 1
-    Cluster classic(sp);
+    Cluster classic(sp, {});
     Cluster::Options po;
     po.simThreads = 2;
     Cluster parallel(sp, po);
@@ -307,8 +307,8 @@ TEST(Pool, DisturbingOneHostNeverChangesAnothersDigest)
     const auto crash = PoolSpec::parse(
         "hosts=2,ops=1000,crash-host=1,crash-at-ns=5000", err);
     ASSERT_TRUE(crash.has_value()) << err;
-    Cluster a(clean);
-    Cluster b(*crash);
+    Cluster a(clean, {});
+    Cluster b(*crash, {});
     const auto ra = a.run();
     const auto rb = b.run();
     EXPECT_EQ(ra.hosts[0].digest, rb.hosts[0].digest);

@@ -553,7 +553,7 @@ TEST(QosStats, ZeroRequestRunEmitsZerosNotNaN)
     EXPECT_EQ(empty.mean(), 0.0);
     EXPECT_EQ(empty.percentile(50.0), 0.0);
     EXPECT_EQ(empty.p99(), 0.0);
-    EXPECT_EQ(empty.max(), 0.0);
+    EXPECT_EQ(empty.percentile(100.0), 0.0);
 
     // A machine that retires nothing must still print a finite stats
     // block (no nan/inf from zero-request divisions).

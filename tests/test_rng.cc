@@ -77,22 +77,6 @@ TEST(Rng, BelowIsApproximatelyUniform)
     }
 }
 
-TEST(Rng, BetweenInclusive)
-{
-    Rng r(5);
-    bool saw_lo = false;
-    bool saw_hi = false;
-    for (int i = 0; i < 2000; ++i) {
-        const std::uint64_t v = r.between(3, 6);
-        ASSERT_GE(v, 3u);
-        ASSERT_LE(v, 6u);
-        saw_lo |= v == 3;
-        saw_hi |= v == 6;
-    }
-    EXPECT_TRUE(saw_lo);
-    EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, UniformInUnitInterval)
 {
     Rng r(11);

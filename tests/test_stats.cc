@@ -41,7 +41,7 @@ TEST(SampleSeries, UnsortedInputHandled)
     for (double v : {5.0, 1.0, 3.0, 2.0, 4.0})
         s.record(v);
     EXPECT_DOUBLE_EQ(s.percentile(20), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 5.0);
+    EXPECT_DOUBLE_EQ(s.percentile(100), 5.0);
     EXPECT_DOUBLE_EQ(s.mean(), 3.0);
 }
 
@@ -53,7 +53,7 @@ TEST(SampleSeries, EmptyReportsZeroNotNan)
     SampleSeries s;
     EXPECT_DOUBLE_EQ(s.percentile(50), 0.0);
     EXPECT_DOUBLE_EQ(s.p99(), 0.0);
-    EXPECT_DOUBLE_EQ(s.max(), 0.0);
+    EXPECT_DOUBLE_EQ(s.percentile(100), 0.0);
     EXPECT_DOUBLE_EQ(s.mean(), 0.0);
 }
 

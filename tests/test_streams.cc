@@ -129,23 +129,6 @@ TEST_F(StreamsTest, ListStreamReplaysExactly)
     EXPECT_FALSE(s.next(op));
 }
 
-TEST_F(StreamsTest, FnStreamDelegates)
-{
-    int emitted = 0;
-    FnStream s([&emitted](MemOp &op) {
-        if (emitted >= 3)
-            return false;
-        op.kind = MemOp::Kind::Load;
-        op.paddr = static_cast<Addr>(emitted++);
-        return true;
-    });
-    MemOp op;
-    int n = 0;
-    while (s.next(op))
-        ++n;
-    EXPECT_EQ(n, 3);
-}
-
 TEST_F(StreamsTest, ChaseRejectsTinyWorkingSets)
 {
     EXPECT_DEATH(PointerChaseStream(buf, cachelineBytes, 10, 1),
