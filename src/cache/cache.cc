@@ -5,6 +5,8 @@
 #include <new>
 #include <stdexcept>
 
+#include <sys/mman.h>
+
 namespace cxlmemo
 {
 
@@ -34,6 +36,12 @@ CacheParams::validate() const
                                     + " is smaller than one set");
 }
 
+void
+SetAssocCache::Unmap::operator()(std::uint64_t *words) const
+{
+    ::munmap(words, bytes);
+}
+
 SetAssocCache::SetAssocCache(CacheParams params)
     : params_(std::move(params))
 {
@@ -43,11 +51,13 @@ SetAssocCache::SetAssocCache(CacheParams params)
     // Power-of-two sets keep indexing a mask, like real hardware.
     numSets_ = roundDownPow2(raw_sets);
     const std::size_t ways = std::size_t(numSets_) * params_.assoc;
-    constexpr std::size_t word = sizeof(std::uint64_t);
-    tags_.reset(static_cast<std::uint64_t *>(std::calloc(ways, word)));
-    order_.reset(static_cast<std::uint64_t *>(std::calloc(numSets_, word)));
-    if (!tags_ || !order_)
+    const std::size_t bytes = (ways + numSets_) * sizeof(std::uint64_t);
+    void *words = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (words == MAP_FAILED)
         throw std::bad_alloc();
+    tags_ = {static_cast<std::uint64_t *>(words), Unmap{bytes}};
+    order_ = tags_.get() + ways;
     for (std::uint64_t w = 0; w < params_.assoc; ++w)
         identity_ |= w << (4 * w);
 }
@@ -178,7 +188,7 @@ void
 SetAssocCache::flushAll()
 {
     std::fill_n(tags_.get(), std::size_t(numSets_) * params_.assoc, 0);
-    std::fill_n(order_.get(), numSets_, 0);
+    std::fill_n(order_, numSets_, 0);
 }
 
 } // namespace cxlmemo

@@ -13,8 +13,8 @@
 #ifndef CXLMEMO_CACHE_CACHE_HH
 #define CXLMEMO_CACHE_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <string>
@@ -177,15 +177,18 @@ class SetAssocCache
 
     CacheParams params_;
     std::uint32_t numSets_;
-    struct Free
+    /** Unmaps the word store, an anonymous mapping of @c bytes. */
+    struct Unmap
     {
-        void operator()(std::uint64_t *p) const { std::free(p); }
+        std::size_t bytes;
+        void operator()(std::uint64_t *words) const;
     };
-    /** Set-major tag words (numSets_ * assoc) and one order word per
-     *  set (^ identity_), zeroed by calloc, which leaves pages fresh
-     *  from the OS untouched: a build faults in none of them. */
-    std::unique_ptr<std::uint64_t[], Free> tags_;
-    std::unique_ptr<std::uint64_t[], Free> order_;
+    /** Set-major tag words (numSets_ * assoc), then one order word per
+     *  set (^ identity_), in one anonymous mapping. Its pages read as
+     *  zero and fault in on first touch, so a build touches none of
+     *  them, wherever the previous Machine's memory went. */
+    std::unique_ptr<std::uint64_t[], Unmap> tags_;
+    std::uint64_t *order_ = nullptr; //!< into tags_' mapping
     std::uint64_t identity_ = 0;       //!< nibble i holds way i
     CacheStats stats_;
 };
