@@ -1,5 +1,7 @@
 #include "numa/numa.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 
@@ -84,9 +86,8 @@ std::uint64_t
 scatterFrame(std::uint64_t idx, std::uint64_t frames)
 {
     CXLMEMO_ASSERT(idx < frames, "frame index beyond node");
-    unsigned k = 1;
-    while ((std::uint64_t(1) << k) < frames)
-        ++k;
+    // Width of the power-of-two domain that covers [0, frames).
+    const unsigned k = std::max(1u, unsigned(std::bit_width(frames - 1)));
     std::uint64_t x = mixBits(idx, k);
     while (x >= frames)
         x = mixBits(x, k);
