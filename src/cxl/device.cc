@@ -87,63 +87,71 @@ CxlMemDevice::access(MemRequest req)
                 cb(t);
         };
     }
+    const std::uint32_t slot = slots_.alloc(std::move(req));
     if (chaos_ && !chaos_->present) {
-        abortRequest(std::move(req), eq_.curTick());
+        abortRequest(slot, eq_.curTick());
         return;
     }
-    if (req.cmd == MemCmd::NtWrite) {
+    MemRequest &r = slots_[slot];
+    if (r.cmd == MemCmd::NtWrite) {
         if (ntPosted_ < params_.hostPostedEntries) {
-            admitPosted(std::move(req));
+            admitPosted(slot);
         } else {
             if (stCredit_) {
                 // Posted-window exhaustion is device backpressure felt
                 // at the host, like a credit stall.
                 stCredit_->enter(eq_.curTick());
-                req.attribMark = eq_.curTick();
+                r.attribMark = eq_.curTick();
             }
-            postedGate_.push_back(std::move(req));
+            postedGate_.push_back(slot);
         }
         return;
     }
-    dispatch(std::move(req));
+    dispatch(slot);
 }
 
 void
-CxlMemDevice::admitPosted(MemRequest req)
+CxlMemDevice::admitPosted(std::uint32_t slot)
 {
-    ++ntPosted_;
-    if (req.onAccept) {
-        const Tick now = eq_.curTick();
-        eq_.schedule(now, [accept = std::move(req.onAccept),
-                           now] { accept(now); });
-    }
     // The posted slot frees at the global-observability point (the
-    // S2M NDR, i.e. controller acceptance), which is when onComplete
-    // fires on the CXL write path.
-    req.onComplete = [this, drained = std::move(req.onComplete)](Tick t) {
-        CXLMEMO_ASSERT(ntPosted_ > 0, "posted underflow");
-        --ntPosted_;
-        if (!postedGate_.empty()) {
-            MemRequest waiting = std::move(postedGate_.front());
-            postedGate_.pop_front();
-            if (stCredit_) {
-                const Tick now = eq_.curTick();
-                stCredit_->exitNow(now);
-                stCredit_->account(now - waiting.attribMark, 0,
-                                   /*busy=*/0, waiting.attrib, now);
-            }
-            admitPosted(std::move(waiting));
-        }
-        if (drained)
-            drained(t);
-    };
-    dispatch(std::move(req));
+    // S2M NDR, i.e. controller acceptance): writeAcked releases it
+    // just before the store's onComplete fires.
+    ++ntPosted_;
+    if (slots_[slot].onAccept) {
+        const Tick now = eq_.curTick();
+        eq_.schedule(now, [this, slot, now] {
+            const MemRequest::Callback accept =
+                std::move(slots_[slot].onAccept);
+            accept(now);
+        });
+    }
+    dispatch(slot);
 }
 
 void
-CxlMemDevice::dispatch(MemRequest req)
+CxlMemDevice::releasePosted()
+{
+    CXLMEMO_ASSERT(ntPosted_ > 0, "posted underflow");
+    --ntPosted_;
+    if (postedGate_.empty())
+        return;
+    const std::uint32_t waiting = postedGate_.front();
+    postedGate_.pop_front();
+    if (stCredit_) {
+        const MemRequest &w = slots_[waiting];
+        const Tick now = eq_.curTick();
+        stCredit_->exitNow(now);
+        stCredit_->account(now - w.attribMark, 0, /*busy=*/0, w.attrib,
+                           now);
+    }
+    admitPosted(waiting);
+}
+
+void
+CxlMemDevice::dispatch(std::uint32_t slot)
 {
     if (LinkCredits *lc = down_.credits()) {
+        const MemRequest &req = slots_[slot];
         CreditPool &pool = isWrite(req.cmd) ? lc->wr : lc->rd;
         if (pool.capacity() > 0 && !pool.tryAcquire()) {
             // Out of credits for this message class: the sender stalls
@@ -154,18 +162,18 @@ CxlMemDevice::dispatch(MemRequest req)
             if (stCredit_)
                 stCredit_->enter(eq_.curTick());
             auto &wait = isWrite(req.cmd) ? wrCreditWait_ : rdCreditWait_;
-            wait.emplace_back(std::move(req), eq_.curTick());
+            wait.emplace_back(slot, eq_.curTick());
             qosSample();
             return;
         }
     }
-    dispatchAttempt(std::move(req), 0);
+    dispatchAttempt(slot, 0);
 }
 
-std::pair<MemRequest, Tick>
-CxlMemDevice::popCreditWaiter(
-    std::deque<std::pair<MemRequest, Tick>> &wait,
-    std::uint16_t &serveSource, std::uint32_t &serveRun)
+CxlMemDevice::CreditWaiter
+CxlMemDevice::popCreditWaiter(std::deque<CreditWaiter> &wait,
+                              std::uint16_t &serveSource,
+                              std::uint32_t &serveRun)
 {
     // Continue the current source's stint if it still has a waiter and
     // the run bound is not exhausted; otherwise start a new stint at
@@ -174,17 +182,17 @@ CxlMemDevice::popCreditWaiter(
     // batching, not starvation.
     if (serveRun < creditRunLimit_) {
         for (auto it = wait.begin(); it != wait.end(); ++it) {
-            if (it->first.source == serveSource) {
-                auto entry = std::move(*it);
+            if (slots_[it->first].source == serveSource) {
+                const CreditWaiter entry = *it;
                 wait.erase(it);
                 ++serveRun;
                 return entry;
             }
         }
     }
-    auto entry = std::move(wait.front());
+    const CreditWaiter entry = wait.front();
     wait.pop_front();
-    serveSource = entry.first.source;
+    serveSource = slots_[entry.first].source;
     serveRun = 1;
     return entry;
 }
@@ -201,10 +209,11 @@ CxlMemDevice::releaseCredit(bool write, Tick now)
     pool.release();
     auto &wait = write ? wrCreditWait_ : rdCreditWait_;
     if (!wait.empty()) {
-        auto [req, since] =
+        const auto [slot, since] =
             write ? popCreditWaiter(wait, wrServeSource_, wrServeRun_)
                   : popCreditWaiter(wait, rdServeSource_, rdServeRun_);
         pool.noteStallEnd(now - since);
+        const MemRequest &req = slots_[slot];
         if (stCredit_) {
             stCredit_->exitNow(now);
             stCredit_->account(now - since, 0, /*busy=*/0, req.attrib,
@@ -215,7 +224,7 @@ CxlMemDevice::releaseCredit(bool write, Tick now)
         sourceCreditStall_[req.source] += now - since;
         const bool got = pool.tryAcquire();
         CXLMEMO_ASSERT(got, "credit vanished between release and acquire");
-        dispatchAttempt(std::move(req), 0);
+        dispatchAttempt(slot, 0);
     }
     qosSample();
 }
@@ -251,8 +260,9 @@ CxlMemDevice::qosSample()
 }
 
 void
-CxlMemDevice::dispatchAttempt(MemRequest req, std::uint32_t attempt)
+CxlMemDevice::dispatchAttempt(std::uint32_t slot, std::uint32_t attempt)
 {
+    const MemRequest &req = slots_[slot];
     const bool write = isWrite(req.cmd);
     const std::uint32_t cost =
         write ? params_.link.dataBytes : params_.link.headerBytes;
@@ -281,9 +291,8 @@ CxlMemDevice::dispatchAttempt(MemRequest req, std::uint32_t attempt)
                                fs.backoffBase * 16);
             const Tick delay = fs.requestTimeout + backoff;
             rs.backoffTicks += delay;
-            eq_.scheduleIn(delay,
-                           [this, attempt, r = std::move(req)]() mutable {
-                dispatchAttempt(std::move(r), attempt + 1);
+            eq_.scheduleIn(delay, [this, slot, attempt] {
+                dispatchAttempt(slot, attempt + 1);
             });
             return;
         }
@@ -292,17 +301,18 @@ CxlMemDevice::dispatchAttempt(MemRequest req, std::uint32_t attempt)
     RequestTracer::mark(req.span, TraceStage::CxlM2s, eq_.curTick());
     const Tick delivered = down_.transmit(cost, req.attrib);
     const Tick at_controller = delivered + params_.controllerIngress;
-    eq_.schedule(at_controller, [this, write, r = std::move(req)]() mutable {
+    eq_.schedule(at_controller, [this, slot, write] {
         if (write)
-            writeArrived(std::move(r));
+            writeArrived(slot);
         else
-            readArrived(std::move(r));
+            readArrived(slot);
     });
 }
 
 void
-CxlMemDevice::readArrived(MemRequest req)
+CxlMemDevice::readArrived(std::uint32_t slot)
 {
+    const MemRequest &req = slots_[slot];
     RequestTracer::mark(req.span, TraceStage::CxlIngress, eq_.curTick());
     if (board_)
         board_->noteDeviceOp(/*write=*/false);
@@ -315,17 +325,18 @@ CxlMemDevice::readArrived(MemRequest req)
         stIngress_->enter(eq_.curTick());
     }
     if (readsInFlight_ < params_.readQueueEntries) {
-        admitRead(std::move(req));
+        admitRead(slot);
     } else {
         ctrlStats_.readsStalled++;
-        readWaitQueue_.push(std::move(req), eq_.curTick());
+        readWaitQueue_.push(slot, req.source, eq_.curTick());
     }
     qosSample();
 }
 
 void
-CxlMemDevice::writeArrived(MemRequest req)
+CxlMemDevice::writeArrived(std::uint32_t slot)
 {
+    const MemRequest &req = slots_[slot];
     RequestTracer::mark(req.span, TraceStage::CxlIngress, eq_.curTick());
     if (board_)
         board_->noteDeviceOp(/*write=*/true);
@@ -335,18 +346,19 @@ CxlMemDevice::writeArrived(MemRequest req)
         stIngress_->enter(eq_.curTick());
     }
     if (writesBuffered_ < params_.writeBufferEntries) {
-        admitWrite(std::move(req));
+        admitWrite(slot);
     } else {
         ctrlStats_.writesStalled++;
-        writeWaitQueue_.push(std::move(req), eq_.curTick());
+        writeWaitQueue_.push(slot, req.source, eq_.curTick());
     }
     qosSample();
 }
 
 void
-CxlMemDevice::admitRead(MemRequest req)
+CxlMemDevice::admitRead(std::uint32_t slot)
 {
     ++readsInFlight_;
+    MemRequest &req = slots_[slot];
     if (stIngress_)
         req.attribMark = eq_.curTick();
     MemRequest backend_req;
@@ -355,160 +367,197 @@ CxlMemDevice::admitRead(MemRequest req)
     backend_req.cmd = req.cmd;
     backend_req.span = req.span;
     backend_req.attrib = req.attrib;
-    backend_req.onComplete =
-        [this, span = req.span, addr = req.addr, attrib = req.attrib,
-         mark = req.attribMark,
-         cb = std::move(req.onComplete)](Tick) mutable {
-            // Data is back from DDR4: free the tracker, then pipe the
-            // response through the egress pipeline and the S2M link.
-            CXLMEMO_ASSERT(readsInFlight_ > 0, "read tracker underflow");
-            --readsInFlight_;
-            if (stIngress_) {
-                // Tracker residency overlaps the back-end service, so
-                // it is all-traffic occupancy/service, never part of
-                // the bracketed latency stack (no double counting).
-                stIngress_->exitNow(eq_.curTick());
-                stIngress_->account(0, eq_.curTick() - mark, /*busy=*/0,
-                                    false, eq_.curTick());
-            }
-            if (!readWaitQueue_.empty()) {
-                auto [waiting, since] = readWaitQueue_.pop();
-                ctrlStats_.readStallTicks += eq_.curTick() - since;
-                if (stIngress_)
-                    stIngress_->account(eq_.curTick() - since, 0, /*busy=*/0,
-                                        waiting.attrib, eq_.curTick());
-                admitRead(std::move(waiting));
-            }
-            // The DRAM array may hand back a poisoned line; the DRS
-            // flit carries the poison bit to the consumer (no timing
-            // change, but the delivery must never be silent).
-            const bool poisoned = faults_ && faults_->poisonRead();
-            if (poisoned)
-                faults_->stats().poisonInjected++;
-            qosSample();
-            RequestTracer::mark(span, TraceStage::CxlEgress,
-                                eq_.curTick());
-            if (stEgress_)
-                stEgress_->passThrough(0, params_.controllerEgress, /*busy=*/0,
-                                       attrib,
-                                       eq_.curTick()
-                                           + params_.controllerEgress);
-            eq_.scheduleIn(params_.controllerEgress,
-                           [this, poisoned, span, addr, attrib,
-                            cb = std::move(cb)]() mutable {
-                RequestTracer::mark(span, TraceStage::CxlS2m,
-                                    eq_.curTick());
-                const Tick arrive =
-                    up_.transmit(params_.link.dataBytes, attrib);
-                // The S2M DRS delivery also carries the read-class
-                // credit and the DevLoad field back to the host, so
-                // instrumented devices need the event even for
-                // fire-and-forget reads.
-                if (cb || poisoned || instrumented_) {
-                    eq_.schedule(arrive, [this, poisoned, addr,
-                                          cb = std::move(cb),
-                                          arrive]() mutable {
-                        noteResponse(/*write=*/false, arrive);
-                        bool armed = poisoned;
-                        // An in-flight read caught by a hot-remove is
-                        // contained like a fresh arrival: its data is
-                        // suspect the moment the device vanished.
-                        const bool removed = chaos_ && !chaos_->present;
-                        if (removed && faults_) {
-                            if (chaos_->stats.removeDetectAt == 0)
-                                chaos_->stats.removeDetectAt = arrive;
-                            if (!armed) {
-                                faults_->stats().poisonInjected++;
-                                armed = true;
-                            }
-                            if (chaos_->spec.contain
-                                == ContainPolicy::Abort) {
-                                faults_->stats().poisonContained++;
-                                armed = false;
-                            }
-                        }
-                        if (armed)
-                            faults_->armPoison();
-                        if (cb)
-                            cb(arrive);
-                        // Anything not absorbed by the cache hierarchy
-                        // reached a non-caching consumer.
-                        if (armed && faults_->consumePoison()) {
-                            faults_->stats().poisonDelivered++;
-                            CXLMEMO_WARN_RATELIMITED(8,
-                                "%s: poisoned line delivered to "
-                                "non-caching consumer (addr 0x%llx)",
-                                params_.name.c_str(),
-                                static_cast<unsigned long long>(addr));
-                        }
-                    });
-                }
-            });
-        };
+    backend_req.onComplete = [this, slot](Tick) { readBackendDone(slot); };
     backend_->access(std::move(backend_req));
 }
 
 void
-CxlMemDevice::admitWrite(MemRequest req)
+CxlMemDevice::readBackendDone(std::uint32_t slot)
+{
+    // Data is back from DDR4: free the tracker, then pipe the response
+    // through the egress pipeline and the S2M link.
+    CXLMEMO_ASSERT(readsInFlight_ > 0, "read tracker underflow");
+    --readsInFlight_;
+    const Tick now = eq_.curTick();
+    if (stIngress_) {
+        // Tracker residency overlaps the back-end service, so it is
+        // all-traffic occupancy/service, never part of the bracketed
+        // latency stack (no double counting).
+        stIngress_->exitNow(now);
+        stIngress_->account(0, now - slots_[slot].attribMark, /*busy=*/0,
+                            false, now);
+    }
+    if (!readWaitQueue_.empty()) {
+        const auto [waiting, since] = readWaitQueue_.pop();
+        ctrlStats_.readStallTicks += now - since;
+        if (stIngress_)
+            stIngress_->account(now - since, 0, /*busy=*/0,
+                                slots_[waiting].attrib, now);
+        admitRead(waiting);
+    }
+    // The DRAM array may hand back a poisoned line; the DRS flit
+    // carries the poison bit to the consumer (no timing change, but
+    // the delivery must never be silent).
+    const bool poisoned = faults_ && faults_->poisonRead();
+    if (poisoned)
+        faults_->stats().poisonInjected++;
+    qosSample();
+    const MemRequest &req = slots_[slot];
+    RequestTracer::mark(req.span, TraceStage::CxlEgress, now);
+    if (stEgress_)
+        stEgress_->passThrough(0, params_.controllerEgress, /*busy=*/0,
+                               req.attrib, now + params_.controllerEgress);
+    eq_.scheduleIn(params_.controllerEgress, [this, slot, poisoned] {
+        readEgress(slot, poisoned);
+    });
+}
+
+void
+CxlMemDevice::readEgress(std::uint32_t slot, bool poisoned)
+{
+    const MemRequest &req = slots_[slot];
+    RequestTracer::mark(req.span, TraceStage::CxlS2m, eq_.curTick());
+    const Tick arrive = up_.transmit(params_.link.dataBytes, req.attrib);
+    // The S2M DRS delivery also carries the read-class credit and the
+    // DevLoad field back to the host, so instrumented devices need the
+    // event even for fire-and-forget reads.
+    if (!req.onComplete && !poisoned && !instrumented_) {
+        slots_.free(slot);
+        return;
+    }
+    eq_.schedule(arrive, [this, slot, poisoned, arrive] {
+        readDelivered(slot, poisoned, arrive);
+    });
+}
+
+void
+CxlMemDevice::readDelivered(std::uint32_t slot, bool poisoned, Tick arrive)
+{
+    noteResponse(/*write=*/false, arrive);
+    bool armed = poisoned;
+    // An in-flight read caught by a hot-remove is contained like a
+    // fresh arrival: its data is suspect the moment the device
+    // vanished.
+    const bool removed = chaos_ && !chaos_->present;
+    if (removed && faults_) {
+        if (chaos_->stats.removeDetectAt == 0)
+            chaos_->stats.removeDetectAt = arrive;
+        if (!armed) {
+            faults_->stats().poisonInjected++;
+            armed = true;
+        }
+        if (chaos_->spec.contain == ContainPolicy::Abort) {
+            faults_->stats().poisonContained++;
+            armed = false;
+        }
+    }
+    MemRequest &req = slots_[slot];
+    const Addr addr = req.addr;
+    const MemRequest::Callback cb = std::move(req.onComplete);
+    // Free the slot first: the callback may re-enter access().
+    slots_.free(slot);
+    if (armed)
+        faults_->armPoison();
+    if (cb)
+        cb(arrive);
+    // Anything not absorbed by the cache hierarchy reached a
+    // non-caching consumer.
+    if (armed && faults_->consumePoison()) {
+        faults_->stats().poisonDelivered++;
+        CXLMEMO_WARN_RATELIMITED(8,
+            "%s: poisoned line delivered to non-caching consumer "
+            "(addr 0x%llx)",
+            params_.name.c_str(), static_cast<unsigned long long>(addr));
+    }
+}
+
+void
+CxlMemDevice::admitWrite(std::uint32_t slot)
 {
     ++writesBuffered_;
     ctrlStats_.writeBufferHighWater =
         std::max(ctrlStats_.writeBufferHighWater, writesBuffered_);
+    MemRequest &req = slots_[slot];
     if (stIngress_)
         req.attribMark = eq_.curTick();
 
     // CXL.mem acknowledges a write (S2M NDR) once the controller has
     // accepted the data; draining to DDR4 happens in the background.
-    // The NDR also carries the write-class credit and DevLoad field.
+    // The NDR also carries the write-class credit and DevLoad field,
+    // and frees an NT store's posted slot.
     // (The background drain is a fresh request with no span: the
     // traced lifecycle ends at the acknowledgement the host observes.)
     RequestTracer::mark(req.span, TraceStage::CxlS2m, eq_.curTick());
     const Tick arrive = up_.transmit(params_.link.headerBytes, req.attrib);
-    if (req.onComplete || instrumented_) {
-        eq_.schedule(arrive, [this, cb = std::move(req.onComplete),
-                              arrive]() mutable {
-            noteResponse(/*write=*/true, arrive);
-            if (cb)
-                cb(arrive);
-        });
+    const Addr addr = req.addr;
+    const std::uint32_t size = req.size;
+    const MemCmd cmd = req.cmd;
+    const Tick mark = req.attribMark;
+    if (cmd == MemCmd::NtWrite || req.onComplete || instrumented_) {
+        eq_.schedule(arrive,
+                     [this, slot, arrive] { writeAcked(slot, arrive); });
+    } else {
+        slots_.free(slot);
     }
 
-    MemRequest drain;
-    drain.addr = req.addr;
-    drain.size = req.size;
-    drain.cmd = req.cmd;
-    drain.onComplete = [this, mark = req.attribMark](Tick) {
-        CXLMEMO_ASSERT(writesBuffered_ > 0, "write buffer underflow");
-        --writesBuffered_;
-        if (stIngress_) {
-            stIngress_->exitNow(eq_.curTick());
-            stIngress_->account(0, eq_.curTick() - mark, /*busy=*/0,
-                                false, eq_.curTick());
-        }
-        if (instrumented_)
-            ++retired_; // a drained line is forward progress too
-        if (!writeWaitQueue_.empty()) {
-            auto [waiting, since] = writeWaitQueue_.pop();
-            ctrlStats_.writeStallTicks += eq_.curTick() - since;
-            if (stIngress_)
-                stIngress_->account(eq_.curTick() - since, 0, /*busy=*/0,
-                                    waiting.attrib, eq_.curTick());
-            admitWrite(std::move(waiting));
-        }
-        qosSample();
-    };
     if (faults_ && faults_->drainStall()) {
         // Stuck/slow-drain episode: the buffered line sits in the
         // controller before draining, holding its entry (and thus
         // backpressure) for the episode length.
         faults_->stats().drainStalls++;
         eq_.scheduleIn(faults_->spec().drainStallTicks,
-                       [this, d = std::move(drain)]() mutable {
-            backend_->access(std::move(d));
+                       [this, addr, size, cmd, mark] {
+            drainWrite(addr, size, cmd, mark);
         });
     } else {
-        backend_->access(std::move(drain));
+        drainWrite(addr, size, cmd, mark);
     }
+}
+
+void
+CxlMemDevice::writeAcked(std::uint32_t slot, Tick arrive)
+{
+    noteResponse(/*write=*/true, arrive);
+    MemRequest &req = slots_[slot];
+    const bool posted = req.cmd == MemCmd::NtWrite;
+    const MemRequest::Callback cb = std::move(req.onComplete);
+    // Free the slot first: the callback may re-enter access().
+    slots_.free(slot);
+    if (posted)
+        releasePosted();
+    if (cb)
+        cb(arrive);
+}
+
+void
+CxlMemDevice::drainWrite(Addr addr, std::uint32_t size, MemCmd cmd,
+                         Tick mark)
+{
+    MemRequest drain;
+    drain.addr = addr;
+    drain.size = size;
+    drain.cmd = cmd;
+    drain.onComplete = [this, mark](Tick) {
+        CXLMEMO_ASSERT(writesBuffered_ > 0, "write buffer underflow");
+        --writesBuffered_;
+        const Tick now = eq_.curTick();
+        if (stIngress_) {
+            stIngress_->exitNow(now);
+            stIngress_->account(0, now - mark, /*busy=*/0, false, now);
+        }
+        if (instrumented_)
+            ++retired_; // a drained line is forward progress too
+        if (!writeWaitQueue_.empty()) {
+            const auto [waiting, since] = writeWaitQueue_.pop();
+            ctrlStats_.writeStallTicks += now - since;
+            if (stIngress_)
+                stIngress_->account(now - since, 0, /*busy=*/0,
+                                    slots_[waiting].attrib, now);
+            admitWrite(waiting);
+        }
+        qosSample();
+    };
+    backend_->access(std::move(drain));
 }
 
 /* ------------------- failure lifecycle (chaos) ------------------- */
@@ -632,11 +681,12 @@ CxlMemDevice::hotReadd(Tick at)
 }
 
 void
-CxlMemDevice::abortRequest(MemRequest req, Tick now)
+CxlMemDevice::abortRequest(std::uint32_t slot, Tick now)
 {
     DeviceChaos &c = *chaos_;
     if (c.stats.removeDetectAt == 0)
         c.stats.removeDetectAt = now;
+    const MemRequest &req = slots_[slot];
     const bool write = isWrite(req.cmd);
     if (write)
         ++c.stats.abortedWrites;
@@ -647,12 +697,14 @@ CxlMemDevice::abortRequest(MemRequest req, Tick now)
     // NT stores wait for acceptance before releasing their WC buffer;
     // an aborted store is "accepted" by the error response.
     if (req.onAccept) {
-        eq_.schedule(done, [accept = std::move(req.onAccept),
-                            done] { accept(done); });
+        eq_.schedule(done, [this, slot, done] {
+            const MemRequest::Callback accept =
+                std::move(slots_[slot].onAccept);
+            accept(done);
+        });
     }
     const bool poison = !write && faults_ != nullptr;
-    eq_.schedule(done, [this, poison,
-                        cb = std::move(req.onComplete), done]() mutable {
+    eq_.schedule(done, [this, slot, poison, done] {
         if (poison) {
             RasStats &rs = faults_->stats();
             rs.poisonInjected++;
@@ -666,6 +718,9 @@ CxlMemDevice::abortRequest(MemRequest req, Tick now)
             CXLMEMO_ASSERT(hostInFlight_ > 0, "host in-flight underflow");
             --hostInFlight_;
         }
+        const MemRequest::Callback cb = std::move(slots_[slot].onComplete);
+        // Free the slot first: the callback may re-enter access().
+        slots_.free(slot);
         if (cb)
             cb(done);
         if (poison && chaos_->spec.contain == ContainPolicy::Poison
@@ -717,7 +772,7 @@ queueLine(std::ostream &os, const char *label, std::size_t depth,
 }
 
 std::optional<Tick>
-frontSince(const std::deque<std::pair<MemRequest, Tick>> &q)
+frontSince(const std::deque<std::pair<std::uint32_t, Tick>> &q)
 {
     if (q.empty())
         return std::nullopt;

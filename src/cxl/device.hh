@@ -37,6 +37,7 @@
 #include "sim/event_queue.hh"
 #include "sim/histogram.hh"
 #include "sim/qos.hh"
+#include "sim/slot_pool.hh"
 #include "sim/watchdog.hh"
 
 namespace cxlmemo
@@ -97,18 +98,18 @@ struct CxlControllerStats
  * interleaves many threads' streams at line granularity and destroys
  * the row locality the DDR4 back-end depends on -- the paper's
  * "requests with fewer patterns as the thread count increased"
- * (Sec. 4.3.1).
+ * (Sec. 4.3.1). Entries are the device's request slots.
  */
 class FairWaitQueue
 {
   public:
+    /** Queue @p slot, a request from agent @p source, at @p when. */
     void
-    push(MemRequest req, Tick when)
+    push(std::uint32_t slot, std::uint16_t source, Tick when)
     {
-        const std::size_t s = req.source;
-        if (s >= bySource_.size())
-            bySource_.resize(s + 1);
-        bySource_[s].emplace_back(std::move(req), when);
+        if (source >= bySource_.size())
+            bySource_.resize(source + 1);
+        bySource_[source].emplace_back(slot, when);
         ++count_;
     }
 
@@ -130,14 +131,15 @@ class FairWaitQueue
         return oldest;
     }
 
-    /** Pop the next request, rotating across non-empty sources. */
-    std::pair<MemRequest, Tick>
+    /** Pop the next (slot, arrival tick), rotating across non-empty
+     *  sources. */
+    std::pair<std::uint32_t, Tick>
     pop()
     {
         for (std::size_t i = 0; i < bySource_.size(); ++i) {
             cursor_ = (cursor_ + 1) % bySource_.size();
             if (!bySource_[cursor_].empty()) {
-                auto out = std::move(bySource_[cursor_].front());
+                const auto out = bySource_[cursor_].front();
                 bySource_[cursor_].pop_front();
                 --count_;
                 return out;
@@ -148,7 +150,7 @@ class FairWaitQueue
     }
 
   private:
-    std::vector<std::deque<std::pair<MemRequest, Tick>>> bySource_;
+    std::vector<std::deque<std::pair<std::uint32_t, Tick>>> bySource_;
     std::size_t cursor_ = 0;
     std::size_t count_ = 0;
 };
@@ -255,6 +257,9 @@ class CxlMemDevice : public MemoryDevice, public ProgressSource
     /** Fill the credit/telemetry half of machine-wide QoS stats. */
     void fillQosStats(QosStats &qs) const;
 
+    /** Request slots taken and not yet retired. */
+    std::size_t slotsInUse() const { return slots_.inUse(); }
+
     /* ------------------ failure lifecycle (chaos) ----------------- */
 
     /**
@@ -296,23 +301,38 @@ class CxlMemDevice : public MemoryDevice, public ProgressSource
     void resetStats();
 
   private:
-    /** A read request has arrived at the controller ingress. */
-    void readArrived(MemRequest req);
-    /** A write (temporal or NT) has arrived at the controller ingress. */
-    void writeArrived(MemRequest req);
+    /** (slot, tick it started waiting) of a credit-stalled request. */
+    using CreditWaiter = std::pair<std::uint32_t, Tick>;
 
-    void admitRead(MemRequest req);
-    void admitWrite(MemRequest req);
+    /** A read request has arrived at the controller ingress. */
+    void readArrived(std::uint32_t slot);
+    /** A write (temporal or NT) has arrived at the controller ingress. */
+    void writeArrived(std::uint32_t slot);
+
+    void admitRead(std::uint32_t slot);
+    void admitWrite(std::uint32_t slot);
+    /** The back end returned a read's data: free its tracker, then
+     *  pipe the response through egress (S2M at readEgress). */
+    void readBackendDone(std::uint32_t slot);
+    void readEgress(std::uint32_t slot, bool poisoned);
+    /** The S2M DRS reached the host: retire the read. */
+    void readDelivered(std::uint32_t slot, bool poisoned, Tick arrive);
+    /** The S2M NDR reached the host: retire the write. */
+    void writeAcked(std::uint32_t slot, Tick arrive);
+    /** Drain a buffered write line to the back end. */
+    void drainWrite(Addr addr, std::uint32_t size, MemCmd cmd, Tick mark);
 
     /** Host-side posted gate for NT stores. */
-    void admitPosted(MemRequest req);
+    void admitPosted(std::uint32_t slot);
+    /** An NT store's posted slot freed: admit the next gated one. */
+    void releasePosted();
     /** Transmit a request over the M2S link toward the controller;
      *  stalls locally when the message class is out of credits. */
-    void dispatch(MemRequest req);
+    void dispatch(std::uint32_t slot);
     /** One host issue attempt: may time out and reissue with
      *  exponential backoff (bounded by maxHostRetries). The credit
      *  acquired at dispatch is held across retries. */
-    void dispatchAttempt(MemRequest req, std::uint32_t attempt);
+    void dispatchAttempt(std::uint32_t slot, std::uint32_t attempt);
 
     /** A response reached the host: return the message-class credit
      *  and wake one credit-starved waiter. */
@@ -322,9 +342,9 @@ class CxlMemDevice : public MemoryDevice, public ProgressSource
      *  (PAR-BS-style batching): strict FIFO grants would interleave
      *  single lines from every core, destroying the DRAM row locality
      *  that the backend write scheduler depends on. */
-    std::pair<MemRequest, Tick>
-    popCreditWaiter(std::deque<std::pair<MemRequest, Tick>> &wait,
-                    std::uint16_t &serveSource, std::uint32_t &serveRun);
+    CreditWaiter popCreditWaiter(std::deque<CreditWaiter> &wait,
+                                 std::uint16_t &serveSource,
+                                 std::uint32_t &serveRun);
 
     /** Response delivered at @p at: progress accounting plus the
      *  piggybacked DevLoad observation for the host throttle. */
@@ -354,7 +374,7 @@ class CxlMemDevice : public MemoryDevice, public ProgressSource
     void hotReadd(Tick at);
     /** Complete a request caught by a hot-removed device per the
      *  containment policy (abort, or complete-with-poison). */
-    void abortRequest(MemRequest req, Tick now);
+    void abortRequest(std::uint32_t slot, Tick now);
     void announce(Tick at, const std::string &text);
 
     EventQueue &eq_;
@@ -367,15 +387,18 @@ class CxlMemDevice : public MemoryDevice, public ProgressSource
     std::uint32_t readsInFlight_ = 0;
     std::uint32_t writesBuffered_ = 0;
     std::uint32_t ntPosted_ = 0;
+    /** Requests from access() until their response reaches the host;
+     *  every queue below holds their slots. */
+    SlotPool<MemRequest> slots_;
     FairWaitQueue readWaitQueue_;
     FairWaitQueue writeWaitQueue_;
-    std::deque<MemRequest> postedGate_;
+    std::deque<std::uint32_t> postedGate_;
 
     /* overload control (all inert unless configured) */
     std::unique_ptr<DevLoadMeter> meter_;
     std::function<void(DevLoad, Tick)> loadSink_;
-    std::deque<std::pair<MemRequest, Tick>> rdCreditWait_;
-    std::deque<std::pair<MemRequest, Tick>> wrCreditWait_;
+    std::deque<CreditWaiter> rdCreditWait_;
+    std::deque<CreditWaiter> wrCreditWait_;
     std::vector<std::uint64_t> sourceCreditStall_; //!< per issuing core
     std::uint16_t rdServeSource_ = 0; //!< sticky-run grant arbitration
     std::uint32_t rdServeRun_ = 0;

@@ -90,20 +90,6 @@ CxlSwitch::wireBytes(MemCmd cmd, std::uint32_t size, bool response) const
     return data ? size : params_.headerBytes;
 }
 
-std::uint32_t
-CxlSwitch::allocSlot(InFlight f)
-{
-    f.used = true;
-    if (!freeSlots_.empty()) {
-        const std::uint32_t s = freeSlots_.back();
-        freeSlots_.pop_back();
-        slots_[s] = std::move(f);
-        return s;
-    }
-    slots_.push_back(std::move(f));
-    return static_cast<std::uint32_t>(slots_.size() - 1);
-}
-
 void
 CxlSwitch::submit(std::uint32_t port, std::uint32_t dev, Op op)
 {
@@ -235,7 +221,7 @@ CxlSwitch::arbitrate(std::uint32_t dev)
     RequestTracer::mark(pend.op.span, TraceStage::SwDev, dispatch);
     ++p.inFlight;
     const std::uint32_t slot =
-        allocSlot(InFlight{std::move(pend.op), pick, dev, true, dispatch});
+        slots_.alloc(InFlight{std::move(pend.op), pick, dev, dispatch});
 
     eq_.schedule(dispatch, [this, slot, dev] {
         InFlight &f = slots_[slot];
@@ -286,8 +272,7 @@ CxlSwitch::deviceDone(std::uint32_t slot, Tick now)
         releaseCredit(f.port, f.op.cmd, now);
         completeAborted(f.port, std::move(f.op), now);
         --p.inFlight;
-        f.used = false;
-        freeSlots_.push_back(slot);
+        slots_.free(slot);
         return;
     }
     if (p.state == PortState::Down) {
@@ -341,8 +326,7 @@ CxlSwitch::egress(std::uint32_t slot, Tick now)
             done(delivery, Status::Ok, g.op.value);
         }
         --q.inFlight;
-        g.used = false;
-        freeSlots_.push_back(slot);
+        slots_.free(slot);
     });
 }
 
@@ -497,8 +481,7 @@ CxlSwitch::fencePort(std::uint32_t port, ContainPolicy policy)
         releaseCredit(port, f.op.cmd, now);
         completeAborted(port, std::move(f.op), now);
         --p.inFlight;
-        f.used = false;
-        freeSlots_.push_back(slot);
+        slots_.free(slot);
     }
     // Requests the downstream device still owns abort at completion
     // (deviceDone checks the port state).

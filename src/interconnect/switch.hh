@@ -51,6 +51,7 @@
 #include "sim/chaos.hh"
 #include "sim/event_queue.hh"
 #include "sim/qos.hh"
+#include "sim/slot_pool.hh"
 #include "sim/watchdog.hh"
 
 namespace cxlmemo
@@ -299,7 +300,6 @@ class CxlSwitch : public ProgressSource
         Op op;
         std::uint32_t port = 0;
         std::uint32_t dev = 0;
-        bool used = false;
         Tick dispatch = 0; //!< device-access tick (sw.dev_service start)
     };
 
@@ -335,17 +335,15 @@ class CxlSwitch : public ProgressSource
     void egress(std::uint32_t slot, Tick now);
     void completeAborted(std::uint32_t port, Op op, Tick now);
     void releaseCredit(std::uint32_t port, MemCmd cmd, Tick now);
-    std::uint32_t allocSlot(InFlight f);
 
     EventQueue &eq_;
     CxlSwitchParams params_;
     std::vector<MemoryDevice *> devices_;
-    // deques: Port/InFlight hold move-only callbacks, and deque growth
-    // never relocates existing elements.
+    // A deque: Port holds move-only callbacks, and deque growth never
+    // relocates existing elements.
     std::deque<Port> ports_;
     std::vector<Xbar> xbar_; //!< [device]
-    std::deque<InFlight> slots_;
-    std::vector<std::uint32_t> freeSlots_;
+    SlotPool<InFlight> slots_;
     std::function<std::uint64_t(std::uint32_t, MemCmd, Addr,
                                 std::uint64_t)>
         dataHook_;

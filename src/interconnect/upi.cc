@@ -43,34 +43,48 @@ UpiRemoteMemory::access(MemRequest req)
         };
     }
     RequestTracer::mark(req.span, TraceStage::Upi, eq_.curTick());
-    const bool write = isWrite(req.cmd);
     const std::uint32_t down_bytes =
-        params_.headerBytes + (write ? req.size : 0);
+        params_.headerBytes + (isWrite(req.cmd) ? req.size : 0);
     bytesDown_ += down_bytes;
     const Tick delivered = transmit(downFreeAt_, down_bytes, req.attrib);
+    const std::uint32_t slot = slots_.alloc(std::move(req));
+    eq_.schedule(delivered, [this, slot] { deliver(slot); });
+}
 
-    eq_.schedule(delivered, [this, write, r = std::move(req)]() mutable {
-        MemRequest remote;
-        remote.addr = r.addr;
-        remote.size = r.size;
-        remote.cmd = r.cmd;
-        remote.span = r.span;
-        remote.attrib = r.attrib;
-        // Posted-acceptance (NT stores) is signalled by the remote
-        // channel's gate once the write arrives there.
-        remote.onAccept = std::move(r.onAccept);
-        remote.onComplete =
-            [this, write, size = r.size, attrib = r.attrib,
-             cb = std::move(r.onComplete)](Tick) mutable {
-                const std::uint32_t up_bytes =
-                    params_.headerBytes + (write ? 0 : size);
-                bytesUp_ += up_bytes;
-                const Tick arrive = transmit(upFreeAt_, up_bytes, attrib);
-                if (cb)
-                    eq_.schedule(arrive, [cb = std::move(cb),
-                                          arrive] { cb(arrive); });
-            };
-        memory_->access(std::move(remote));
+void
+UpiRemoteMemory::deliver(std::uint32_t slot)
+{
+    MemRequest &r = slots_[slot];
+    MemRequest remote;
+    remote.addr = r.addr;
+    remote.size = r.size;
+    remote.cmd = r.cmd;
+    remote.span = r.span;
+    remote.attrib = r.attrib;
+    // Posted-acceptance (NT stores) is signalled by the remote
+    // channel's gate once the write arrives there.
+    remote.onAccept = std::move(r.onAccept);
+    remote.onComplete = [this, slot](Tick) { returnHop(slot); };
+    memory_->access(std::move(remote));
+}
+
+void
+UpiRemoteMemory::returnHop(std::uint32_t slot)
+{
+    MemRequest &r = slots_[slot];
+    const std::uint32_t up_bytes =
+        params_.headerBytes + (isWrite(r.cmd) ? 0 : r.size);
+    bytesUp_ += up_bytes;
+    const Tick arrive = transmit(upFreeAt_, up_bytes, r.attrib);
+    if (!r.onComplete) {
+        slots_.free(slot);
+        return;
+    }
+    eq_.schedule(arrive, [this, slot, arrive] {
+        const MemRequest::Callback cb = std::move(slots_[slot].onComplete);
+        // Free the slot first: the callback may re-enter access().
+        slots_.free(slot);
+        cb(arrive);
     });
 }
 

@@ -20,6 +20,7 @@
 #include "mem/request.hh"
 #include "sim/event_queue.hh"
 #include "sim/histogram.hh"
+#include "sim/slot_pool.hh"
 
 namespace cxlmemo
 {
@@ -88,12 +89,20 @@ class UpiRemoteMemory : public MemoryDevice
         memory_->setStation(station);
     }
 
+    /** Request slots taken and not yet retired. */
+    std::size_t slotsInUse() const { return slots_.inUse(); }
+
   private:
     Tick transmit(Tick &freeAt, std::uint32_t bytes, bool attrib);
+    /** The request crossed the link: hand the remote socket a copy. */
+    void deliver(std::uint32_t slot);
+    /** The remote access finished: send the response back. */
+    void returnHop(std::uint32_t slot);
 
     EventQueue &eq_;
     UpiParams params_;
     std::unique_ptr<InterleavedMemory> memory_;
+    SlotPool<MemRequest> slots_; //!< requests between the two hops
     Tick downFreeAt_ = 0;
     Tick upFreeAt_ = 0;
     std::uint64_t bytesDown_ = 0;

@@ -92,6 +92,7 @@ DramChannel::access(MemRequest req)
         station_->enter(eq_.curTick());
         req.attribMark = eq_.curTick();
     }
+    const std::uint32_t slot = slots_.alloc(std::move(req));
     // Transient channel stall (refresh storm, thermal throttle,
     // ECC-scrub collision): the request is held at the controller
     // front end for the episode before being admitted. Drawn at most
@@ -99,65 +100,57 @@ DramChannel::access(MemRequest req)
     if (faults_ && faults_->dramStall()) {
         faults_->stats().dramStalls++;
         eq_.scheduleIn(faults_->spec().dramStallTicks,
-                       [this, r = std::move(req)]() mutable {
-            accessAdmit(std::move(r));
-        });
+                       [this, slot] { accessAdmit(slot); });
         return;
     }
-    accessAdmit(std::move(req));
+    accessAdmit(slot);
 }
 
 void
-DramChannel::accessAdmit(MemRequest req)
+DramChannel::accessAdmit(std::uint32_t slot)
 {
-    if (req.cmd == MemCmd::NtWrite) {
+    if (slots_[slot].cmd == MemCmd::NtWrite) {
         if (ntPosted_ < params_.ntPostedEntries) {
-            admitNt(std::move(req));
+            admitNt(slot);
         } else {
-            ntGate_.push_back(std::move(req));
+            ntGate_.push_back(slot);
         }
         return;
     }
-    enqueue(std::move(req));
+    enqueue(slot);
 }
 
 void
-DramChannel::admitNt(MemRequest req)
+DramChannel::admitNt(std::uint32_t slot)
 {
+    // The posted entry is released when the write drains to the array
+    // (retire), which always comes after this acceptance event.
     ++ntPosted_;
-    if (req.onAccept) {
+    if (slots_[slot].onAccept) {
         const Tick now = eq_.curTick();
-        eq_.schedule(now, [accept = std::move(req.onAccept),
-                           now] { accept(now); });
+        eq_.schedule(now, [this, slot, now] {
+            const MemRequest::Callback accept =
+                std::move(slots_[slot].onAccept);
+            accept(now);
+        });
     }
-    // Release the posted slot once the write drains to the array.
-    req.onComplete = [this, drained = std::move(req.onComplete)](Tick t) {
-        CXLMEMO_ASSERT(ntPosted_ > 0, "posted underflow");
-        --ntPosted_;
-        if (!ntGate_.empty()) {
-            MemRequest waiting = std::move(ntGate_.front());
-            ntGate_.pop_front();
-            admitNt(std::move(waiting));
-        }
-        if (drained)
-            drained(t);
-    };
-    enqueue(std::move(req));
+    enqueue(slot);
 }
 
 void
-DramChannel::enqueue(MemRequest req)
+DramChannel::enqueue(std::uint32_t slot)
 {
-    const std::uint32_t bank_idx = bankOf(req.addr);
+    const Addr addr = slots_[slot].addr;
+    const std::uint32_t bank_idx = bankOf(addr);
     ++outstanding_;
-    bankQueue_[bank_idx].push_back(std::move(req));
+    bankQueue_[bank_idx].push_back(Queued{rowOf(addr), slot});
     tryIssue(bank_idx);
 }
 
 void
 DramChannel::tryIssue(std::uint32_t bank_idx)
 {
-    std::deque<MemRequest> &queue = bankQueue_[bank_idx];
+    std::deque<Queued> &queue = bankQueue_[bank_idx];
     if (bankBusyUntil_[bank_idx] != 0 || queue.empty())
         return;
 
@@ -168,21 +161,22 @@ DramChannel::tryIssue(std::uint32_t bank_idx)
     const std::uint64_t open_row = bankOpenRow_[bank_idx];
     std::size_t pick = 0;
     if (bankHitRun_[bank_idx] < params_.maxHitRun
-        && rowOf(queue[0].addr) != open_row) {
+        && queue[0].row != open_row) {
         const std::size_t depth =
             std::min<std::size_t>(params_.scanDepth, queue.size());
         for (std::size_t i = 1; i < depth; ++i) {
-            if (rowOf(queue[i].addr) == open_row) {
+            if (queue[i].row == open_row) {
                 pick = i;
                 break;
             }
         }
     }
 
-    MemRequest req = std::move(queue[pick]);
+    const auto [row, slot] = queue[pick];
     queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(pick));
+    MemRequest &req = slots_[slot];
 
-    const bool hit = rowOf(req.addr) == open_row;
+    const bool hit = row == open_row;
     const Tick now = eq_.curTick();
     const bool write = isWrite(req.cmd);
 
@@ -203,7 +197,7 @@ DramChannel::tryIssue(std::uint32_t bank_idx)
         if (write)
             occupancy += params_.tWriteRecovery;
         occupancy = std::max(occupancy, params_.tBankCycle);
-        bankOpenRow_[bank_idx] = rowOf(req.addr);
+        bankOpenRow_[bank_idx] = row;
         bankLastActivate_[bank_idx] = now;
         bankHitRun_[bank_idx] = 0;
         stats_.rowMisses++;
@@ -224,19 +218,16 @@ DramChannel::tryIssue(std::uint32_t bank_idx)
                           req.attrib, ready);
         req.attribMark = ready; // bus-queue wait starts at ready
     }
-    eq_.schedule(ready, [this, bank_idx, r = std::move(req)]() mutable {
-        finishBankPhase(bank_idx, std::move(r));
-    });
+    eq_.schedule(ready, [this, slot] { finishBankPhase(slot); });
 }
 
 void
-DramChannel::finishBankPhase(std::uint32_t bank_idx, MemRequest req)
+DramChannel::finishBankPhase(std::uint32_t slot)
 {
-    (void)bank_idx;
-    if (isWrite(req.cmd))
-        busWriteQueue_.push_back(std::move(req));
+    if (isWrite(slots_[slot].cmd))
+        busWriteQueue_.push_back(slot);
     else
-        busReadQueue_.push_back(std::move(req));
+        busReadQueue_.push_back(slot);
     kickBus();
 }
 
@@ -259,8 +250,9 @@ DramChannel::kickBus()
         std::swap(same, other);
     }
 
-    MemRequest req = std::move(same->front());
+    const std::uint32_t slot = same->front();
     same->pop_front();
+    const MemRequest &req = slots_[slot];
 
     const Tick now = eq_.curTick();
     Tick start = now;
@@ -284,16 +276,34 @@ DramChannel::kickBus()
     }
 
     busBusy_ = true;
-    eq_.schedule(done, [this, r = std::move(req), done]() mutable {
-        CXLMEMO_ASSERT(outstanding_ > 0, "completion underflow");
-        --outstanding_;
-        busBusy_ = false;
-        if (station_)
-            station_->exitNow(done);
-        if (r.onComplete)
-            r.onComplete(done);
-        kickBus();
-    });
+    eq_.schedule(done, [this, slot, done] { retire(slot, done); });
+}
+
+void
+DramChannel::retire(std::uint32_t slot, Tick done)
+{
+    CXLMEMO_ASSERT(outstanding_ > 0, "completion underflow");
+    --outstanding_;
+    busBusy_ = false;
+    if (station_)
+        station_->exitNow(done);
+    MemRequest &req = slots_[slot];
+    const bool posted = req.cmd == MemCmd::NtWrite;
+    const MemRequest::Callback cb = std::move(req.onComplete);
+    // Free the slot first: the callback may re-enter access().
+    slots_.free(slot);
+    if (posted) {
+        CXLMEMO_ASSERT(ntPosted_ > 0, "posted underflow");
+        --ntPosted_;
+        if (!ntGate_.empty()) {
+            const std::uint32_t waiting = ntGate_.front();
+            ntGate_.pop_front();
+            admitNt(waiting);
+        }
+    }
+    if (cb)
+        cb(done);
+    kickBus();
 }
 
 InterleavedMemory::InterleavedMemory(EventQueue &eq, const std::string &name,

@@ -35,6 +35,7 @@
 #include "sim/event_queue.hh"
 #include "sim/fault.hh"
 #include "sim/histogram.hh"
+#include "sim/slot_pool.hh"
 #include "sim/types.hh"
 
 namespace cxlmemo
@@ -140,6 +141,9 @@ class DramChannel : public MemoryDevice
     /** Requests accepted but not yet completed. */
     std::uint32_t outstanding() const { return outstanding_; }
 
+    /** Request slots taken and not yet retired. */
+    std::size_t slotsInUse() const { return slots_.inUse(); }
+
     /** Attach a latency-accounting station (nullptr = off, the
      *  default; accounting never alters timing). */
     void setStation(AccountedStation *station) { station_ = station; }
@@ -150,11 +154,11 @@ class DramChannel : public MemoryDevice
     Tick busTime(std::uint32_t size, bool write) const;
 
     /** Continue an access past the fault-injection check. */
-    void accessAdmit(MemRequest req);
+    void accessAdmit(std::uint32_t slot);
     /** Admit an NT write past the posted gate. */
-    void admitNt(MemRequest req);
+    void admitNt(std::uint32_t slot);
     /** Enqueue into the owning bank and kick the scheduler. */
-    void enqueue(MemRequest req);
+    void enqueue(std::uint32_t slot);
     /** Serve the next ready transfer on the data bus, if idle. */
     void kickBus();
 
@@ -162,7 +166,10 @@ class DramChannel : public MemoryDevice
     void tryIssue(std::uint32_t bank_idx);
 
     /** Device phase finished: move the request onto the data bus. */
-    void finishBankPhase(std::uint32_t bank_idx, MemRequest req);
+    void finishBankPhase(std::uint32_t slot);
+    /** The bus transfer ended at @p done: free the slot, release its
+     *  posted entry (NT writes), then complete the request. */
+    void retire(std::uint32_t slot, Tick done);
 
     EventQueue &eq_;
     DramChannelParams params_;
@@ -179,15 +186,26 @@ class DramChannel : public MemoryDevice
     std::vector<Tick> bankBusyUntil_;  //!< 0 = idle, else occupied-to
     std::vector<Tick> bankLastActivate_; //!< last row-activate tick
     std::vector<std::uint32_t> bankHitRun_;
-    std::vector<std::deque<MemRequest>> bankQueue_;
-    std::deque<MemRequest> busReadQueue_;  //!< ready, awaiting the bus
-    std::deque<MemRequest> busWriteQueue_;
+
+    /** A bank-queue entry: the request's slot and its row, so the
+     *  FR-FCFS scan compares rows without touching the requests. */
+    struct Queued
+    {
+        std::uint64_t row;
+        std::uint32_t slot;
+    };
+
+    /** Accepted requests; every queue below holds their slots. */
+    SlotPool<MemRequest> slots_;
+    std::vector<std::deque<Queued>> bankQueue_;
+    std::deque<std::uint32_t> busReadQueue_; //!< ready, awaiting the bus
+    std::deque<std::uint32_t> busWriteQueue_;
     bool busBusy_ = false;
     bool lastWasWrite_ = false;
     std::uint32_t directionRun_ = 0;
     std::uint32_t outstanding_ = 0;
     std::uint32_t ntPosted_ = 0;
-    std::deque<MemRequest> ntGate_;
+    std::deque<std::uint32_t> ntGate_;
     DeviceStats stats_;
     AccountedStation *station_ = nullptr;
 };

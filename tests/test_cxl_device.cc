@@ -10,6 +10,7 @@
 #include "cxl/device.hh"
 #include "sim/event_queue.hh"
 #include "system/machine.hh"
+#include "slot_drill.hh"
 
 namespace cxlmemo
 {
@@ -170,36 +171,47 @@ TEST(CxlDevice, LinkBytesAccountedBothDirections)
 TEST(FairWaitQueue, RoundRobinsAcrossSources)
 {
     FairWaitQueue q;
-    auto push = [&](std::uint16_t src, Addr addr) {
-        MemRequest r;
-        r.addr = addr;
-        r.source = src;
-        q.push(std::move(r), 0);
-    };
-    // Source 0 floods; source 1 sends one request.
-    for (int i = 0; i < 8; ++i)
-        push(0, static_cast<Addr>(i));
-    push(1, 1000);
-    std::vector<Addr> order;
+    // Source 0 floods slots 0..7; source 1 sends one request, slot 8.
+    for (std::uint32_t slot = 0; slot < 8; ++slot)
+        q.push(slot, /*source=*/0, 0);
+    q.push(8, /*source=*/1, 0);
+    std::vector<std::uint32_t> order;
     while (!q.empty())
-        order.push_back(q.pop().first.addr);
+        order.push_back(q.pop().first);
     ASSERT_EQ(order.size(), 9u);
     // Source 1's single request must be served within the first two
     // pops, not after source 0's entire backlog.
-    EXPECT_TRUE(order[0] == 1000 || order[1] == 1000);
+    EXPECT_TRUE(order[0] == 8 || order[1] == 8);
 }
 
 TEST(FairWaitQueue, FifoWithinOneSource)
 {
     FairWaitQueue q;
-    for (int i = 0; i < 4; ++i) {
-        MemRequest r;
-        r.addr = static_cast<Addr>(i);
-        r.source = 5;
-        q.push(std::move(r), 0);
+    for (std::uint32_t slot = 0; slot < 4; ++slot)
+        q.push(slot, /*source=*/5, Tick(slot));
+    for (std::uint32_t slot = 0; slot < 4; ++slot) {
+        const auto [popped, since] = q.pop();
+        EXPECT_EQ(popped, slot);
+        EXPECT_EQ(since, Tick(slot));
     }
-    for (int i = 0; i < 4; ++i)
-        EXPECT_EQ(q.pop().first.addr, static_cast<Addr>(i));
+}
+
+TEST(CxlDevice, RequestsWaitInSlotsWithoutSpills)
+{
+    // 160 in flight overflow the read trackers, the write buffer and
+    // the posted window, so the fair wait queues and the posted gate
+    // hold slots too.
+    EventQueue eq;
+    CxlMemDevice dev(eq, testbed_params::agilexCxlDevice());
+    SlotDrill drill(dev, 400);
+    const std::uint64_t spills = poolThreadAllocCount();
+    drill.start(160);
+    eq.run();
+    EXPECT_EQ(poolThreadAllocCount(), spills);
+    drill.expectEachOnce();
+    EXPECT_EQ(dev.slotsInUse(), 0u);
+    EXPECT_EQ(dev.readsInFlight(), 0u);
+    EXPECT_EQ(dev.writesBuffered(), 0u);
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 
 #include "mem/dram.hh"
 #include "sim/event_queue.hh"
+#include "slot_drill.hh"
 
 namespace cxlmemo
 {
@@ -319,6 +320,23 @@ TEST(DramChannelDeathTest, RejectsBadGeometry)
     DramChannelParams p = testParams();
     p.rowBytes = 1536; // not a whole number of stripes
     EXPECT_THROW(DramChannel(eq, p), std::invalid_argument);
+}
+
+TEST(DramChannel, RequestsWaitInSlotsWithoutSpills)
+{
+    // Banks, the bus queues and the posted gate (4 entries here) hold
+    // slots, and every event captures {this, slot}: no request is
+    // copied into a spilled callback cell on its way through.
+    EventQueue eq;
+    DramChannel ch(eq, testParams());
+    SlotDrill drill(ch, 400);
+    const std::uint64_t spills = poolThreadAllocCount();
+    drill.start(64);
+    eq.run();
+    EXPECT_EQ(poolThreadAllocCount(), spills);
+    drill.expectEachOnce();
+    EXPECT_EQ(ch.slotsInUse(), 0u);
+    EXPECT_EQ(ch.outstanding(), 0u);
 }
 
 } // namespace

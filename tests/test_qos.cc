@@ -232,33 +232,29 @@ TEST(HostThrottle, ThrottledBucketPacesInBursts)
 TEST(FairWaitQueue, FloodingSourceCannotStarveOthers)
 {
     FairWaitQueue q;
-    auto mk = [](std::uint16_t source) {
-        MemRequest r;
-        r.source = source;
-        return r;
-    };
-    // Source 0 floods; source 1 parks a single request behind 100 of
-    // source 0's. Round-robin must serve source 1 within two pops, not
-    // after the flood drains.
-    for (int i = 0; i < 100; ++i)
-        q.push(mk(0), Tick(i));
-    q.push(mk(1), 100);
+    // Source 0 floods slots 0..99; source 1 parks a single request,
+    // slot 100, behind them. Round-robin must serve source 1 within
+    // two pops, not after the flood drains.
+    for (std::uint32_t slot = 0; slot < 100; ++slot)
+        q.push(slot, /*source=*/0, Tick(slot));
+    q.push(100, /*source=*/1, 100);
     std::size_t pops_until_src1 = 0;
     while (true) {
         ++pops_until_src1;
-        if (q.pop().first.source == 1)
+        if (q.pop().first == 100)
             break;
     }
     EXPECT_LE(pops_until_src1, 2u);
 
-    // With k active sources each is served once per k pops.
+    // With k active sources each is served once per k pops. Slot s
+    // belongs to source s.
     FairWaitQueue rr;
     for (int round = 0; round < 4; ++round)
         for (std::uint16_t s = 0; s < 3; ++s)
-            rr.push(mk(s), 0);
+            rr.push(s, s, 0);
     std::vector<std::uint64_t> served(3, 0);
     for (int i = 0; i < 6; ++i)
-        served[rr.pop().first.source]++;
+        served[rr.pop().first]++;
     EXPECT_EQ(served[0], 2u);
     EXPECT_EQ(served[1], 2u);
     EXPECT_EQ(served[2], 2u);

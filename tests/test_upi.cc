@@ -8,6 +8,7 @@
 #include "interconnect/upi.hh"
 #include "sim/event_queue.hh"
 #include "system/machine.hh"
+#include "slot_drill.hh"
 
 namespace cxlmemo
 {
@@ -118,6 +119,21 @@ TEST(UpiRemoteMemory, BandwidthBoundedByLink)
     // Up-link carries 80 B per 64 B payload at 10 GB/s -> 8 GB/s max.
     EXPECT_LT(gbps, 8.5);
     EXPECT_GT(gbps, 6.0);
+}
+
+TEST(UpiRemoteMemory, RequestsWaitInSlotsWithoutSpills)
+{
+    // The request waits in a slot across both hops; the remote
+    // channel keeps its own copy in its own slots.
+    EventQueue eq;
+    UpiRemoteMemory remote(eq, testbed_params::uiPathToRemote());
+    SlotDrill drill(remote, 400);
+    const std::uint64_t spills = poolThreadAllocCount();
+    drill.start(64);
+    eq.run();
+    EXPECT_EQ(poolThreadAllocCount(), spills);
+    drill.expectEachOnce();
+    EXPECT_EQ(remote.slotsInUse(), 0u);
 }
 
 } // namespace
