@@ -312,8 +312,9 @@ class CxlMemDevice : public MemoryDevice, public ProgressSource
     void admitRead(std::uint32_t slot);
     void admitWrite(std::uint32_t slot);
     /** The back end returned a read's data: free its tracker, then
-     *  pipe the response through egress (S2M at readEgress). */
+     *  pipe the response through the egress pipeline. */
     void readBackendDone(std::uint32_t slot);
+    /** Egress done: send the DRS over the S2M link. */
     void readEgress(std::uint32_t slot, bool poisoned);
     /** The S2M DRS reached the host: retire the read. */
     void readDelivered(std::uint32_t slot, bool poisoned, Tick arrive);

@@ -47,7 +47,6 @@ DramChannel::DramChannel(EventQueue &eq, DramChannelParams params,
       faults_(faults),
       bankOpenRow_(params_.numBanks, ~std::uint64_t(0)),
       bankBusyUntil_(params_.numBanks, 0),
-      bankLastActivate_(params_.numBanks, 0),
       bankHitRun_(params_.numBanks, 0),
       bankQueue_(params_.numBanks)
 {
@@ -198,7 +197,6 @@ DramChannel::tryIssue(std::uint32_t bank_idx)
             occupancy += params_.tWriteRecovery;
         occupancy = std::max(occupancy, params_.tBankCycle);
         bankOpenRow_[bank_idx] = row;
-        bankLastActivate_[bank_idx] = now;
         bankHitRun_[bank_idx] = 0;
         stats_.rowMisses++;
     }

@@ -184,7 +184,6 @@ class DramChannel : public MemoryDevice
      */
     std::vector<std::uint64_t> bankOpenRow_; //!< ~0 = no open row
     std::vector<Tick> bankBusyUntil_;  //!< 0 = idle, else occupied-to
-    std::vector<Tick> bankLastActivate_; //!< last row-activate tick
     std::vector<std::uint32_t> bankHitRun_;
 
     /** A bank-queue entry: the request's slot and its row, so the

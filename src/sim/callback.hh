@@ -9,10 +9,11 @@
  * completion chain of a single memory access performs several such
  * allocations. InlineCallback stores the callable inside the wrapper
  * itself whenever it fits, so the common capture sets -- a `this`
- * pointer plus a few scalars, or a whole MemRequest moved into an
- * event -- never touch the allocator. Oversized callables transparently
- * fall back to a single heap cell, preserving std::function's
- * "anything callable" convenience.
+ * pointer plus a few scalars, such as a device's `{this, slot}` --
+ * never touch the allocator. Oversized callables, such as a lambda
+ * that captures another callback, transparently fall back to a single
+ * heap cell, preserving std::function's "anything callable"
+ * convenience.
  *
  * Differences from std::function, by design:
  *  - move-only: completion callbacks are consumed exactly once, and
@@ -64,9 +65,9 @@ class InlineCallback<R(Args...), InlineBytes>
             invoke_ = &invokeInline<D>;
             ops_ = &inlineOps<D>;
         } else if constexpr (alignof(D) <= alignof(std::max_align_t)) {
-            // Spilled callables are hot-path traffic (device events
-            // moving a MemRequest); serve the cell from the free-list
-            // pool instead of global new.
+            // Spilled callables are hot-path traffic (the cache
+            // hierarchy's miss chain captures a whole callback); serve
+            // the cell from the free-list pool instead of global new.
             void *cell = poolAlloc(sizeof(D));
             ::new (static_cast<void *>(storage_))
                 (D *)(::new (cell) D(std::forward<F>(f)));

@@ -65,10 +65,12 @@ class EventQueue
      * Inline capture capacity of an event callback. Kept at the same
      * ~48 B sweet spot as the completion callbacks: an Event is then
      * 80 B, so a window's bucket stays cache-resident while sorting
-     * and executing. Device events that move a whole MemRequest into
-     * the capture fall back to one heap cell -- exactly what
-     * std::function did -- and measurements show the smaller queue
-     * footprint beats keeping them inline at 3x the event size.
+     * and executing. Memory devices keep in-flight requests in slots
+     * (sim/slot_pool.hh), so their events capture `{this, slot}` and
+     * fit. A capture that carries a whole callback, such as the cache
+     * hierarchy's miss dispatch, falls back to one pooled heap cell;
+     * measurements show the smaller queue footprint beats keeping
+     * such captures inline at 3x the event size.
      */
     static constexpr std::size_t eventInlineBytes = 48;
 

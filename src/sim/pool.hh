@@ -3,11 +3,13 @@
  * Free-list pools for hot-path one-shot allocations.
  *
  * The event kernel retires millions of short-lived callbacks per
- * figure. Most captures fit InlineCallback's inline buffer, but the
- * ones that carry a whole MemRequest (device dispatches, completion
- * chains, far-heap event nodes) spill to a heap cell -- previously a
- * global new/delete pair per event, which serializes on the allocator
- * lock under the parallel engine and costs ~5% of single-thread time.
+ * figure. Most captures fit InlineCallback's inline buffer; memory
+ * devices keep their requests in slots (sim/slot_pool.hh) so theirs
+ * do. The ones that carry another callback (the cache hierarchy's
+ * miss dispatch and fill chain, histogram wrappers, the parallel
+ * engine's relays) spill to a heap cell -- previously a global
+ * new/delete pair per event, which serializes on the allocator lock
+ * under the parallel engine and costs ~5% of single-thread time.
  *
  * poolAlloc/poolFree replace that pair with per-thread size-class
  * free lists:

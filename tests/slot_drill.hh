@@ -32,6 +32,9 @@ class SlotDrill
     SlotDrill(MemoryDevice &dev, int total)
         : dev_(dev), accepts_(total, 0), completes_(total, 0)
     {}
+    // Callbacks in flight hold `this`.
+    SlotDrill(const SlotDrill &) = delete;
+    SlotDrill &operator=(const SlotDrill &) = delete;
 
     void
     start(int window)
