@@ -113,7 +113,7 @@ CxlMemDevice::access(MemRequest req)
 void
 CxlMemDevice::admitPosted(std::uint32_t slot)
 {
-    // The posted slot frees at the global-observability point (the
+    // The posted entry frees at the global-observability point (the
     // S2M NDR, i.e. controller acceptance): writeAcked releases it
     // just before the store's onComplete fires.
     ++ntPosted_;
@@ -484,7 +484,7 @@ CxlMemDevice::admitWrite(std::uint32_t slot)
     // CXL.mem acknowledges a write (S2M NDR) once the controller has
     // accepted the data; draining to DDR4 happens in the background.
     // The NDR also carries the write-class credit and DevLoad field,
-    // and frees an NT store's posted slot.
+    // and frees an NT store's posted entry.
     // (The background drain is a fresh request with no span: the
     // traced lifecycle ends at the acknowledgement the host observes.)
     RequestTracer::mark(req.span, TraceStage::CxlS2m, eq_.curTick());

@@ -325,7 +325,7 @@ class CxlMemDevice : public MemoryDevice, public ProgressSource
 
     /** Host-side posted gate for NT stores. */
     void admitPosted(std::uint32_t slot);
-    /** An NT store's posted slot freed: admit the next gated one. */
+    /** An NT store's posted entry freed: admit the next gated one. */
     void releasePosted();
     /** Transmit a request over the M2S link toward the controller;
      *  stalls locally when the message class is out of credits. */

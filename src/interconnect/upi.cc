@@ -71,7 +71,7 @@ UpiRemoteMemory::deliver(std::uint32_t slot)
 void
 UpiRemoteMemory::returnHop(std::uint32_t slot)
 {
-    MemRequest &r = slots_[slot];
+    const MemRequest &r = slots_[slot];
     const std::uint32_t up_bytes =
         params_.headerBytes + (isWrite(r.cmd) ? 0 : r.size);
     bytesUp_ += up_bytes;
