@@ -164,7 +164,7 @@ guardrailTable()
     credited.credits = 2 * clean.mlp;
     credited.fenceCheckNs = 500.0;
     Cluster::Options watchdog;
-    watchdog.watchdogUs = 100.0;
+    watchdog.watchdogInterval = ticksFromUs(100.0);
     rows.push_back({"pool_armed_idle", clean.toString(),
                     cluster(clean, {}, false),
                     cluster(credited, watchdog, false), kBudgetPct});

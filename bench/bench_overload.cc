@@ -86,7 +86,7 @@ main(int argc, char **argv)
         }
         // Watchdog armed everywhere: a healthy overload run must never
         // trip it, however congested the device gets.
-        opts.watchdogUs = 100.0;
+        opts.watchdogInterval = ticksFromUs(100.0);
         return memo::runOverloadPoint(threads[i % threads.size()], opts);
     });
 

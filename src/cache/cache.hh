@@ -165,6 +165,15 @@ class SetAssocCache
 
     std::uint32_t numSets() const { return numSets_; }
 
+    /** Bytes the cache holds as modelled: sets x ways x 64 B. The set
+     *  count rounds down to a power of two, so this can be less than
+     *  CacheParams::sizeBytes. */
+    std::uint64_t
+    heldBytes() const
+    {
+        return std::uint64_t(numSets()) * params_.assoc * cachelineBytes;
+    }
+
     /** Drop every line (used between experiment repetitions). */
     void flushAll();
 

@@ -165,18 +165,9 @@ CacheHierarchy::missToMemory(std::uint16_t core, std::uint64_t la,
         req.attrib = attrib;
         req.onComplete = [this, core, la, rfo,
                           cb = std::move(cb)](Tick t) {
-            // The memory device arms poison on the response just
-            // before this callback runs; absorbing it here makes the
-            // cached copy a tracked poisoned line, and this delivery
-            // a poisoned one for the requesting thread.
-            const bool poisoned = faults_ && faults_->consumePoison();
-            if (poisoned) {
-                poisonedLines_.insert(la);
-                rasStats_.poisonedFills++;
-                faults_->stats().poisonConsumed++;
-                if (poisonSink_)
-                    poisonSink_(paddrOfLine(la), t);
-            }
+            // A poisoned fill is also a poisoned delivery for the
+            // requesting thread.
+            const bool poisoned = absorbPoison(la, t);
             fillLlc(core, la, LineState::Exclusive, t);
             fillL2(core, la, LineState::Exclusive, t);
             fillL1(core, la,
@@ -188,6 +179,32 @@ CacheHierarchy::missToMemory(std::uint16_t core, std::uint64_t la,
         };
         dev.access(std::move(req));
     });
+}
+
+bool
+CacheHierarchy::absorbPoison(std::uint64_t la, Tick t)
+{
+    if (!faults_ || !faults_->consumePoison())
+        return false;
+    poisonedLines_.insert(la);
+    rasStats_.poisonedFills++;
+    faults_->stats().poisonConsumed++;
+    if (poisonSink_)
+        poisonSink_(paddrOfLine(la), t);
+    return true;
+}
+
+std::optional<Tick>
+CacheHierarchy::writebackIfDirty(std::uint16_t core, std::uint64_t la,
+                                 Tick at, bool dirty, Done cb)
+{
+    const Tick lookup = at + params_.l1.latency + params_.l2.latency
+                        + params_.llc.latency;
+    if (!dirty)
+        return lookup;
+    writebackLine(la, core, lookup + params_.uncoreLatency,
+                  std::move(cb));
+    return std::nullopt;
 }
 
 Tick
@@ -254,13 +271,7 @@ CacheHierarchy::observeForPrefetch(std::uint16_t core, std::uint64_t la,
                 prefetchInFlight_.erase(target);
                 // A prefetch fill absorbs poison like a demand fill;
                 // a later demand hit surfaces it to the consumer.
-                if (faults_ && faults_->consumePoison()) {
-                    poisonedLines_.insert(target);
-                    rasStats_.poisonedFills++;
-                    faults_->stats().poisonConsumed++;
-                    if (poisonSink_)
-                        poisonSink_(paddrOfLine(target), t);
-                }
+                absorbPoison(target, t);
                 fillLlc(core, target, LineState::Exclusive, t);
                 fillL2(core, target, LineState::Exclusive, t, true);
             };
@@ -284,10 +295,7 @@ CacheHierarchy::load(std::uint16_t core, Addr paddr, Tick at, Done cb,
     if (l1.find(la)) {
         l1.stats().hits++;
         notePoisonHit(la);
-        if (station_)
-            station_->passThrough(0, at + lat - issued,
-                                  at + lat - issued, true, at + lat);
-        return at + lat;
+        return hit(issued, at + lat, true);
     }
     l1.stats().misses++;
 
@@ -304,10 +312,7 @@ CacheHierarchy::load(std::uint16_t core, Addr paddr, Tick at, Done cb,
                                                    : LineState::Exclusive,
                at + lat);
         notePoisonHit(la);
-        if (station_)
-            station_->passThrough(0, at + lat - issued,
-                                  at + lat - issued, true, at + lat);
-        return at + lat;
+        return hit(issued, at + lat, true);
     }
     l2.stats().misses++;
     if (params_.prefetchEnabled)
@@ -322,10 +327,7 @@ CacheHierarchy::load(std::uint16_t core, Addr paddr, Tick at, Done cb,
         fillL2(core, la, st, at + lat);
         fillL1(core, la, st, at + lat);
         notePoisonHit(la);
-        if (station_)
-            station_->passThrough(0, at + lat - issued,
-                                  at + lat - issued, true, at + lat);
-        return at + lat;
+        return hit(issued, at + lat, true);
     }
     llc_->stats().misses++;
 
@@ -350,10 +352,7 @@ CacheHierarchy::store(std::uint16_t core, Addr paddr, Tick at, Done cb,
     if (auto line = l1.find(la)) {
         l1.stats().hits++;
         line.setState(LineState::Modified);
-        if (station_)
-            station_->passThrough(0, at + lat - issued,
-                                  at + lat - issued, false, at + lat);
-        return at + lat;
+        return hit(issued, at + lat, false);
     }
     l1.stats().misses++;
 
@@ -364,10 +363,7 @@ CacheHierarchy::store(std::uint16_t core, Addr paddr, Tick at, Done cb,
         fillL1(core, la, LineState::Modified, at + lat);
         if (was_dirty)
             line.setState(LineState::Exclusive); // dirtiness moved to L1
-        if (station_)
-            station_->passThrough(0, at + lat - issued,
-                                  at + lat - issued, false, at + lat);
-        return at + lat;
+        return hit(issued, at + lat, false);
     }
     l2.stats().misses++;
     if (params_.prefetchEnabled)
@@ -378,10 +374,7 @@ CacheHierarchy::store(std::uint16_t core, Addr paddr, Tick at, Done cb,
         llc_->stats().hits++;
         fillL2(core, la, LineState::Exclusive, at + lat);
         fillL1(core, la, LineState::Modified, at + lat);
-        if (station_)
-            station_->passThrough(0, at + lat - issued,
-                                  at + lat - issued, false, at + lat);
-        return at + lat;
+        return hit(issued, at + lat, false);
     }
     llc_->stats().misses++;
 
@@ -469,13 +462,7 @@ CacheHierarchy::flush(std::uint16_t core, Addr paddr, Tick at, Done cb)
     const bool dirty = s1 == LineState::Modified
                        || s2 == LineState::Modified
                        || sl == LineState::Modified;
-    const Tick lookup = at + params_.l1.latency + params_.l2.latency
-                        + params_.llc.latency;
-    if (!dirty)
-        return lookup;
-    writebackLine(la, core, lookup + params_.uncoreLatency,
-                  std::move(cb));
-    return std::nullopt;
+    return writebackIfDirty(core, la, at, dirty, std::move(cb));
 }
 
 std::optional<Tick>
@@ -489,13 +476,7 @@ CacheHierarchy::clwb(std::uint16_t core, Addr paddr, Tick at, Done cb)
             dirty = true;
         }
     }
-    const Tick lookup = at + params_.l1.latency + params_.l2.latency
-                        + params_.llc.latency;
-    if (!dirty)
-        return lookup;
-    writebackLine(la, core, lookup + params_.uncoreLatency,
-                  std::move(cb));
-    return std::nullopt;
+    return writebackIfDirty(core, la, at, dirty, std::move(cb));
 }
 
 void

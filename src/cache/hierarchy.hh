@@ -159,6 +159,14 @@ class CacheHierarchy
     const HierarchyParams &params() const { return params_; }
     const CacheStats &l1Stats(std::uint16_t core) const;
     const CacheStats &llcStats() const { return llc_->stats(); }
+
+    /** Bytes one L1D, one L2 and the LLC hold as modelled (see
+     *  SetAssocCache::heldBytes); every core's private caches have
+     *  core 0's geometry. */
+    std::uint64_t l1Bytes() const { return l1_.front().heldBytes(); }
+    std::uint64_t l2Bytes() const { return l2_.front().heldBytes(); }
+    std::uint64_t llcBytes() const { return llc_->heldBytes(); }
+
     const PrefetchStats &prefetchStats() const { return pfStats_; }
 
     /** TLB counters (all cores; zero when the TLB is disabled). */
@@ -265,6 +273,30 @@ class CacheHierarchy
     void missToMemory(std::uint16_t core, std::uint64_t la, Tick dispatch,
                       bool rfo, Done cb, TraceSpan *span = nullptr,
                       bool attrib = false, Tick issued = 0);
+
+    /** Absorb the poison a memory device armed on the fill of @p la
+     *  that completed at @p t, just before its callback ran: the
+     *  cached copy becomes a tracked poisoned line.
+     *  @return whether the fill was poisoned. */
+    bool absorbPoison(std::uint64_t la, Tick t);
+
+    /** End a flush or clwb of @p la issued at @p at: the lookup walks
+     *  every level, then a @p dirty line is written back and @p cb
+     *  fires when it reaches memory. */
+    std::optional<Tick> writebackIfDirty(std::uint16_t core,
+                                         std::uint64_t la, Tick at,
+                                         bool dirty, Done cb);
+
+    /** End a cache hit that completes at @p done: the lookup station
+     *  is credited the whole pass as service. @return @p done. */
+    Tick
+    hit(Tick issued, Tick done, bool attrib)
+    {
+        if (station_)
+            station_->passThrough(0, done - issued, done - issued, attrib,
+                                  done);
+        return done;
+    }
 
     /** Fire-and-forget dirty eviction to the line's home device. */
     void writebackLine(std::uint64_t la, std::uint16_t source, Tick at,

@@ -44,7 +44,6 @@ CxlMemDevice::CxlMemDevice(EventQueue &eq, CxlDeviceParams params,
     }
     if (qos.enabled()) {
         meter_ = std::make_unique<DevLoadMeter>(qos);
-        qosOn_ = true;
         instrumented_ = true;
     }
     backend_ = std::make_unique<InterleavedMemory>(

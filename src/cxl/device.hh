@@ -406,7 +406,6 @@ class CxlMemDevice : public MemoryDevice, public ProgressSource
     std::uint16_t wrServeSource_ = 0;
     std::uint32_t wrServeRun_ = 0;
     std::uint32_t creditRunLimit_ = 1; //!< max grants per source stint
-    bool qosOn_ = false;
     bool instrumented_ = false;
 
     /* forward-progress accounting (instrumented_ only) */

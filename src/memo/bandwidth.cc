@@ -60,7 +60,7 @@ double
 runSeqBandwidth(Target target, MemOp::Kind kind, std::uint32_t threads,
                 const Options &opts)
 {
-    auto m = makeMachine(target, opts, opts.prefetch);
+    auto m = makeMachine(target, opts, opts.prefetchEnabled);
     const double gbps = runSeqBandwidth(*m, target, kind, threads, opts);
     if (opts.onMachineDone)
         opts.onMachineDone(*m);
@@ -72,7 +72,7 @@ runRandBandwidth(Target target, MemOp::Kind kind, std::uint32_t threads,
                  std::uint64_t blockBytes, const Options &opts)
 {
     CXLMEMO_ASSERT(threads >= 1, "need at least one stream");
-    auto m = makeMachine(target, opts, opts.prefetch);
+    auto m = makeMachine(target, opts, opts.prefetchEnabled);
     const MemPolicy policy = MemPolicy::membind(targetNode(*m, target));
     NumaBuffer buf =
         m->numa().alloc(std::uint64_t(threads) * regionBytes, policy);
@@ -105,7 +105,7 @@ underBackgroundLoad(Target target, std::uint32_t threads,
                     const Options &opts, Probe probe)
 {
     CXLMEMO_ASSERT(threads >= 1, "need at least the probe thread");
-    auto m = makeMachine(target, opts, opts.prefetch);
+    auto m = makeMachine(target, opts, opts.prefetchEnabled);
     const MemPolicy policy = MemPolicy::membind(targetNode(*m, target));
     NumaBuffer probe_buf = m->numa().alloc(regionBytes, policy);
     NumaBuffer bg_buf = m->numa().alloc(

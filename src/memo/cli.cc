@@ -522,9 +522,9 @@ modes()
                         targetName(r.cfg.target), opName(r.cfg.op),
                         threadsAt(r), r.p.value);
         }};
-    // Report is seq with attribution forced on (see
-    // CliConfig::observability); printRows swaps its `attrib:` line
-    // for the breakdown table.
+    // Report is seq with attribution forced on (parseCli resolves
+    // it into CliConfig::run); printRows swaps its `attrib:` line for
+    // the breakdown table.
     static const Mode report = [] {
         Mode m = seq;
         m.mode = CliMode::Report;
@@ -907,7 +907,7 @@ namespace
 /** Run a sweep mode: map its points through SweepRunner, print them,
  *  write the file sinks. */
 int
-runSweep(const CliConfig &cfg, const Options &opts, const TierFlags &f)
+runSweep(const CliConfig &cfg, const TierFlags &f)
 {
     const Mode &mode = findMode(cfg.mode, f.any());
     // The histogram source: the target device; copy touches several
@@ -916,13 +916,13 @@ runSweep(const CliConfig &cfg, const Options &opts, const TierFlags &f)
         cfg.mode == CliMode::Copy    ? std::nullopt
         : cfg.mode == CliMode::Drill ? std::optional(Target::Cxl)
                                      : std::optional(cfg.target);
-    const bool collect = opts.obs.enabled();
+    const bool collect = cfg.run.obs.enabled();
     // Every point gets its own hook writing into its own PointResult,
     // so SweepRunner workers share no mutable state.
     const std::vector<PointResult> pts =
         SweepRunner(cfg.jobs).map(mode.points(cfg), [&](std::size_t i) {
             PointResult p;
-            Options o = opts;
+            Options o = cfg.run;
             if (collect || f.any()) {
                 o.onMachineDone = [&p, i, histTarget, collect](Machine &m) {
                     collectPoint(m, histTarget, static_cast<int>(i),
@@ -938,9 +938,9 @@ runSweep(const CliConfig &cfg, const Options &opts, const TierFlags &f)
 }
 
 int
-runPoolMode(const CliConfig &cfg, const Options &opts, const TierFlags &f)
+runPoolMode(const CliConfig &cfg, const TierFlags &f)
 {
-    const PoolResult r = runPool(cfg.poolSpec, opts, cfg.jobs);
+    const PoolResult r = runPool(cfg.poolSpec, cfg.run, cfg.jobs);
     const ClusterResult &c = r.cluster;
     std::vector<PointResult> rows(c.hosts.size());
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -1030,23 +1030,15 @@ runCli(const CliConfig &cfg)
     if (cfg.mode == CliMode::Diff)
         return runDiff(cfg);
 
-    Options opts;
-    opts.prefetch = cfg.prefetch;
-    opts.seed = cfg.seed;
-    opts.faults = cfg.faults;
-    opts.qos = cfg.qos;
-    opts.chaos = cfg.chaos;
-    opts.watchdogUs = cfg.watchdogUs;
-    opts.simThreads = cfg.simThreads;
-    opts.obs = cfg.observability();
     // The drill always has RAS counters (it arms a poison stream for
     // the offlining leg even with no --fault-spec), so its rows always
     // carry the optional tiers.
-    const TierFlags f{cfg.faults.enabled() || cfg.mode == CliMode::Drill,
-                      cfg.qos.enabled(), cfg.histograms,
-                      opts.obs.attribution, opts.obs.tailK > 0};
-    return cfg.mode == CliMode::Pool ? runPoolMode(cfg, opts, f)
-                                     : runSweep(cfg, opts, f);
+    const ObservabilityOptions &obs = cfg.run.obs;
+    const TierFlags f{cfg.run.faults.enabled() || cfg.mode == CliMode::Drill,
+                      cfg.run.qos.enabled(), obs.latencyHistograms,
+                      obs.attribution, obs.tailK > 0};
+    return cfg.mode == CliMode::Pool ? runPoolMode(cfg, f)
+                                     : runSweep(cfg, f);
 }
 
 } // namespace

@@ -51,7 +51,7 @@ enum class CliMode
     Help,
 };
 
-/** Parsed command line. */
+/** Parsed command line: what to run, and the Options to run it with. */
 struct CliConfig
 {
     CliMode mode = CliMode::Help;
@@ -63,25 +63,7 @@ struct CliConfig
     CopyPath path = CopyPath::D2C;
     CopyMethod method = CopyMethod::Memcpy;
     std::uint32_t batch = 1;
-    bool prefetch = false;
     bool csv = false;
-    std::uint64_t seed = 42;
-    /** RAS fault injection (`--fault-spec`); disabled by default. */
-    FaultSpec faults;
-    /** Overload control (`--qos-spec`); disabled by default. */
-    QosSpec qos;
-    /** Failure-lifecycle schedule (`--chaos-spec`); disabled by
-     *  default. Drill mode substitutes its default script when this
-     *  is empty. */
-    ChaosSpec chaos;
-    /** Watchdog snapshot interval in microseconds (`--watchdog` /
-     *  `--watchdog-ns`); 0 = no watchdog. */
-    double watchdogUs = 0.0;
-
-    /** Pooled-cluster scenario (`--pool-spec`, pool mode only). Pool
-     *  mode carries all disturbances inside this spec and rejects
-     *  `--fault-spec` / `--qos-spec` / `--chaos-spec`. */
-    PoolSpec poolSpec;
 
     /**
      * Host threads for sweep modes (seq/rand/chase/loaded): each sweep
@@ -92,39 +74,18 @@ struct CliConfig
      */
     std::uint32_t jobs = 1;
 
-    /** Worker threads for the domain-partitioned parallel simulation
-     *  engine (`--sim-threads`): 0 (the default) keeps the classic
-     *  single-queue engine; any value >= 1 enables domain
-     *  partitioning, with output byte-identical at every count. */
-    std::uint32_t simThreads = 0;
+    /** Pooled-cluster scenario (`--pool-spec`, pool mode only). Pool
+     *  mode carries all disturbances inside this spec and rejects
+     *  `--fault-spec` / `--qos-spec` / `--chaos-spec`. */
+    PoolSpec poolSpec;
 
-    /* -------------------- flight recorder ------------------------ */
-
-    /** Chrome trace-event JSON output file (`--trace-out`); empty
-     *  (the default) disables tracing unless `--trace-sample` is
-     *  given explicitly (post-mortem ring only). */
+    /** Chrome trace-event JSON output file (`--trace-out`); tracing
+     *  samples 1 request in 64 unless `--trace-sample` says otherwise. */
     std::string traceOut;
 
-    /** Trace 1-in-N requests (`--trace-sample N` or `1/N`); 0 means
-     *  "default" (64 when tracing is otherwise enabled). */
-    std::uint64_t traceSampleEvery = 0;
-
-    /** Interval-metrics CSV output file (`--metrics-out`). */
+    /** Interval-metrics CSV output file (`--metrics-out`); snapshots
+     *  every 1000 ns unless `--metrics-interval-ns` says otherwise. */
     std::string metricsOut;
-
-    /** Metrics snapshot interval (`--metrics-interval-ns`); 0 means
-     *  "default" (1000 ns when `--metrics-out` is given). */
-    std::uint64_t metricsIntervalNs = 0;
-
-    /** Enable per-component latency histograms (`--histograms`). */
-    bool histograms = false;
-
-    /** Exhaustive latency accounting / bottleneck attribution
-     *  (`--attrib`; forced on by `--mode report`). */
-    bool attrib = false;
-
-    /** Worst-K tail capture depth (`--tail-trace K`); 0 = off. */
-    std::uint32_t tailK = 0;
 
     /* ---------------------- diff mode ---------------------------- */
 
@@ -138,9 +99,16 @@ struct CliConfig
     /** No-change band in percent (`--diff-threshold`, diff mode). */
     double diffThresholdPct = 5.0;
 
-    /** The resolved observability options this invocation runs with
-     *  (all-off unless one of the flags above was given). */
-    ObservabilityOptions observability() const;
+    /**
+     * The Options every experiment of this invocation runs with:
+     * `--prefetch`, `--seed`, `--sim-threads`, the fault, QoS and
+     * chaos specs, `--watchdog`/`--watchdog-ns` and the observability
+     * flags, with their defaults resolved (tracing at 1 in 64 with
+     * `--trace-out`, metrics every 1000 ns with `--metrics-out`,
+     * attribution in report mode). Drill mode substitutes its default
+     * chaos script when run.chaos is empty.
+     */
+    Options run;
 };
 
 /**

@@ -109,6 +109,18 @@ struct ParseState
         return true;
     }
 
+    /** The value as a positive count of ns, stored as ticks
+     *  (@p message + V otherwise). */
+    bool
+    ns(Tick &out, const char *message)
+    {
+        std::uint64_t n = 0;
+        if (!size(1, kMaxU64, n, message))
+            return false;
+        out = ticksFromNs(static_cast<double>(n));
+        return true;
+    }
+
     /** The value as a list/range of byte sizes, each a cacheline
      *  multiple in [lo, hi]; @p rule + V is the error for an element
      *  outside it. */
@@ -215,7 +227,7 @@ const Flag kFlags[] = {
      }},
     {"--seed", true,
      [](ParseState &s) {
-         return s.size(0, kMaxU64, s.cfg.seed, "bad seed: ");
+         return s.size(0, kMaxU64, s.cfg.run.seed, "bad seed: ");
      }},
     {"--jobs", true,
      [](ParseState &s) {
@@ -226,15 +238,15 @@ const Flag kFlags[] = {
     // explicitly (scripts spell out the matrix).
     {"--sim-threads", true,
      [](ParseState &s) {
-         return s.size(0, 256, s.cfg.simThreads,
+         return s.size(0, 256, s.cfg.run.simThreads,
                        "bad sim-threads count (0..256): ");
      }},
     {"--fault-spec", true,
-     [](ParseState &s) { return s.spec("fault-spec", s.cfg.faults); }},
+     [](ParseState &s) { return s.spec("fault-spec", s.cfg.run.faults); }},
     {"--qos-spec", true,
-     [](ParseState &s) { return s.spec("qos-spec", s.cfg.qos); }},
+     [](ParseState &s) { return s.spec("qos-spec", s.cfg.run.qos); }},
     {"--chaos-spec", true,
-     [](ParseState &s) { return s.spec("chaos-spec", s.cfg.chaos); }},
+     [](ParseState &s) { return s.spec("chaos-spec", s.cfg.run.chaos); }},
     {"--pool-spec", true,
      [](ParseState &s) {
          s.sawPoolSpec = true;
@@ -242,17 +254,14 @@ const Flag kFlags[] = {
      }},
     {"--watchdog", false,
      [](ParseState &s) {
-         if (s.cfg.watchdogUs == 0.0)
-             s.cfg.watchdogUs = 100.0;
+         if (s.cfg.run.watchdogInterval == 0)
+             s.cfg.run.watchdogInterval = ticksFromUs(100.0);
          return true;
      }},
     {"--watchdog-ns", true,
      [](ParseState &s) {
-         std::uint64_t ns = 0;
-         if (!s.size(1, kMaxU64, ns, "bad watchdog interval (ns): "))
-             return false;
-         s.cfg.watchdogUs = static_cast<double>(ns) / 1000.0;
-         return true;
+         return s.ns(s.cfg.run.watchdogInterval,
+                     "bad watchdog interval (ns): ");
      }},
     {"--trace-out", true,
      [](ParseState &s) {
@@ -266,7 +275,7 @@ const Flag kFlags[] = {
          const auto n = parseSize(v.rfind("1/", 0) == 0 ? v.substr(2) : v);
          if (!n || *n == 0)
              return s.fail("bad trace sample rate (N or 1/N): " + v);
-         s.cfg.traceSampleEvery = *n;
+         s.cfg.run.obs.traceSampleEvery = *n;
          return true;
      }},
     {"--metrics-out", true,
@@ -276,12 +285,12 @@ const Flag kFlags[] = {
      }},
     {"--metrics-interval-ns", true,
      [](ParseState &s) {
-         return s.size(1, kMaxU64, s.cfg.metricsIntervalNs,
-                       "bad metrics interval (ns): ");
+         return s.ns(s.cfg.run.obs.metricsInterval,
+                     "bad metrics interval (ns): ");
      }},
     {"--tail-trace", true,
      [](ParseState &s) {
-         return s.size(1, 1024, s.cfg.tailK,
+         return s.size(1, 1024, s.cfg.run.obs.tailK,
                        "bad tail-trace depth (1..1024): ");
      }},
     {"--diff-threshold", true,
@@ -298,9 +307,11 @@ const Flag kFlags[] = {
     {"--json", false,
      [](ParseState &s) { return set(s.cfg.diffJson) && set(s.sawJson); }},
     {"--histograms", false,
-     [](ParseState &s) { return set(s.cfg.histograms); }},
-    {"--attrib", false, [](ParseState &s) { return set(s.cfg.attrib); }},
-    {"--prefetch", false, [](ParseState &s) { return set(s.cfg.prefetch); }},
+     [](ParseState &s) { return set(s.cfg.run.obs.latencyHistograms); }},
+    {"--attrib", false,
+     [](ParseState &s) { return set(s.cfg.run.obs.attribution); }},
+    {"--prefetch", false,
+     [](ParseState &s) { return set(s.cfg.run.prefetchEnabled); }},
     {"--csv", false, [](ParseState &s) { return set(s.cfg.csv); }},
 };
 
@@ -486,22 +497,6 @@ cliUsage()
         "  --opt=value is accepted everywhere --opt value is.\n";
 }
 
-ObservabilityOptions
-CliConfig::observability() const
-{
-    ObservabilityOptions obs;
-    if (!traceOut.empty() || traceSampleEvery > 0)
-        obs.traceSampleEvery = traceSampleEvery ? traceSampleEvery : 64;
-    if (!metricsOut.empty() || metricsIntervalNs > 0) {
-        obs.metricsInterval = ticksFromNs(static_cast<double>(
-            metricsIntervalNs ? metricsIntervalNs : 1000));
-    }
-    obs.latencyHistograms = histograms;
-    obs.attribution = attrib || mode == CliMode::Report;
-    obs.tailK = tailK;
-    return obs;
-}
-
 std::optional<CliConfig>
 parseCli(const std::vector<std::string> &rawArgs, std::string &error)
 {
@@ -563,6 +558,17 @@ parseCli(const std::vector<std::string> &rawArgs, std::string &error)
     }
     if (s.help)
         return cfg;
+
+    // The defaults an output file or a mode implies, filled in once
+    // so the checks below and every run read the resolved options.
+    ObservabilityOptions &obs = cfg.run.obs;
+    if (!cfg.traceOut.empty() && obs.traceSampleEvery == 0)
+        obs.traceSampleEvery = 64;
+    if (!cfg.metricsOut.empty() && obs.metricsInterval == 0)
+        obs.metricsInterval = ticksFromNs(1000.0);
+    if (cfg.mode == CliMode::Report)
+        obs.attribution = true;
+
     if (cfg.mode == CliMode::Chase && cfg.wssBytes.empty()) {
         error = "chase mode requires --wss";
         return std::nullopt;
@@ -570,8 +576,8 @@ parseCli(const std::vector<std::string> &rawArgs, std::string &error)
     // Pool mode carries every disturbance inside the pool spec: a
     // stray machine-level spec would silently apply to nothing.
     if (cfg.mode == CliMode::Pool
-        && (cfg.faults.enabled() || cfg.qos.enabled()
-            || cfg.chaos.enabled())) {
+        && (cfg.run.faults.enabled() || cfg.run.qos.enabled()
+            || cfg.run.chaos.enabled())) {
         error = "pool mode takes disturbances via --pool-spec only";
         return std::nullopt;
     }
@@ -603,8 +609,7 @@ parseCli(const std::vector<std::string> &rawArgs, std::string &error)
     // independent and works on both engines. Diff mode compares
     // finished runs -- it simulates nothing, so every simulation
     // flag is a mistake worth naming rather than ignoring.
-    if (cfg.simThreads > 0
-        && (!cfg.traceOut.empty() || cfg.traceSampleEvery > 0)) {
+    if (cfg.run.simThreads > 0 && obs.traceSampleEvery > 0) {
         error = "--trace-out/--trace-sample require --sim-threads 0";
         return std::nullopt;
     }
@@ -614,12 +619,9 @@ parseCli(const std::vector<std::string> &rawArgs, std::string &error)
                     "(memo diff A.csv B.csv)";
             return std::nullopt;
         }
-        if (cfg.tailK > 0 || cfg.histograms || cfg.attrib
-            || !cfg.traceOut.empty() || cfg.traceSampleEvery > 0
-            || !cfg.metricsOut.empty() || cfg.metricsIntervalNs > 0
-            || cfg.faults.enabled() || cfg.qos.enabled()
-            || cfg.chaos.enabled() || cfg.watchdogUs > 0.0
-            || cfg.simThreads > 0) {
+        if (obs.enabled() || cfg.run.faults.enabled()
+            || cfg.run.qos.enabled() || cfg.run.chaos.enabled()
+            || cfg.run.watchdogInterval > 0 || cfg.run.simThreads > 0) {
             error = "diff mode compares finished runs and takes no "
                     "simulation flags";
             return std::nullopt;

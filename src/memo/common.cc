@@ -31,16 +31,9 @@ testbedFor(Target target)
 std::unique_ptr<Machine>
 makeMachine(Target target, const Options &opts, bool prefetch)
 {
-    MachineOptions mo;
+    MachineOptions mo = opts;
     mo.prefetchEnabled = prefetch;
-    mo.faults = opts.faults;
-    mo.qos = opts.qos;
-    mo.chaos = opts.chaos;
-    mo.obs = opts.obs;
-    mo.simThreads = opts.simThreads;
-    if (opts.watchdogUs > 0.0)
-        mo.watchdogInterval = ticksFromUs(opts.watchdogUs);
-    return std::make_unique<Machine>(testbedFor(target), mo);
+    return std::make_unique<Machine>(testbedFor(target), std::move(mo));
 }
 
 NodeId

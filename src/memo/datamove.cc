@@ -120,7 +120,7 @@ runMovdirBandwidth(CopyPath path, std::uint32_t threads,
                    const Options &opts)
 {
     CXLMEMO_ASSERT(threads >= 1, "need at least one copy thread");
-    auto m = makeMachine(Target::Ddr5Local, opts, opts.prefetch);
+    auto m = makeMachine(Target::Ddr5Local, opts, opts.prefetchEnabled);
     NumaBuffer src = m->numa().alloc(
         std::uint64_t(threads) * copyRegion,
         MemPolicy::membind(targetNode(*m, srcOf(path))));
@@ -145,7 +145,7 @@ runCopyBandwidth(CopyPath path, CopyMethod method, std::uint32_t batch,
                  std::uint64_t blockBytes, const Options &opts)
 {
     CXLMEMO_ASSERT(batch >= 1, "batch must be at least 1");
-    auto m = makeMachine(Target::Ddr5Local, opts, opts.prefetch);
+    auto m = makeMachine(Target::Ddr5Local, opts, opts.prefetchEnabled);
     NumaBuffer src = m->numa().alloc(
         copyRegion, MemPolicy::membind(targetNode(*m, srcOf(path))));
     NumaBuffer dst = m->numa().alloc(

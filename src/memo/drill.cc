@@ -55,10 +55,10 @@ runDrill(std::uint32_t threads, const Options &opts)
     // The offlining leg needs a poison stream to feed the ledger.
     if (!o.faults.enabled() && o.chaos.offlineThreshold > 0)
         o.faults.readPoisonRate = 0.01;
-    if (o.watchdogUs <= 0.0)
-        o.watchdogUs = 100.0; // the drill always logs lifecycle events
+    if (o.watchdogInterval == 0) // the drill always logs lifecycle events
+        o.watchdogInterval = ticksFromUs(100.0);
 
-    auto m = makeMachine(Target::Cxl, o, o.prefetch);
+    auto m = makeMachine(Target::Cxl, o, o.prefetchEnabled);
 
     const std::uint64_t workBytes = std::uint64_t(threads) * regionBytes;
     NumaBuffer work =

@@ -48,38 +48,17 @@ enum class Target
 
 const char *targetName(Target t);
 
-/** Knobs common to all MEMO experiments. */
-struct Options
+/**
+ * Knobs common to all MEMO experiments: the MachineOptions every
+ * experiment Machine is built from (prefetchEnabled, faults, QoS,
+ * chaos, watchdog, observability, engine and the device overrides),
+ * plus how the experiment drives it.
+ */
+struct Options : MachineOptions
 {
-    bool prefetch = false;     //!< hardware prefetchers on/off
     std::uint64_t seed = 42;   //!< workload RNG seed
     double warmupUs = 30.0;    //!< pipeline warm-up before measuring
     double measureUs = 150.0;  //!< measurement window
-    /** RAS fault model for the machine under test (default: none,
-     *  bit-identical to the fault-free simulator). */
-    FaultSpec faults;
-
-    /** Overload-control model (credits / DevLoad throttle) for the
-     *  CXL path (default: none, bit-identical when disabled). */
-    QosSpec qos;
-
-    /** Failure-lifecycle schedule for the CXL path (default: none,
-     *  bit-identical when disabled). */
-    ChaosSpec chaos;
-
-    /** Forward-progress watchdog snapshot interval in microseconds;
-     *  0 (the default) builds no watchdog. */
-    double watchdogUs = 0.0;
-
-    /** Flight-recorder wiring (tracing / interval metrics / latency
-     *  histograms) for every machine the experiment builds; all off
-     *  by default. */
-    ObservabilityOptions obs;
-
-    /** Worker threads for the domain-partitioned parallel simulation
-     *  engine; 0 (the default) keeps the classic single-queue engine
-     *  (see MachineOptions::simThreads for the contract). */
-    std::uint32_t simThreads = 0;
 
     /**
      * Invoked on each experiment Machine after its run completes and
@@ -256,8 +235,9 @@ struct PoolResult
  * runs (in parallel when @p jobs > 1, results merged positionally)
  * and the victim digests are compared for the blast-radius invariant.
  * Each cluster runs to quiescence (every op completes or aborts, all
- * fencing and scrubbing settles); opts.simThreads and opts.watchdogUs
- * carry over (the workload seed lives in the spec).
+ * fencing and scrubbing settles); opts.simThreads and
+ * opts.watchdogInterval carry over (the workload seed lives in the
+ * spec).
  */
 PoolResult runPool(const PoolSpec &spec, const Options &opts = {},
                    unsigned jobs = 1);
@@ -312,8 +292,8 @@ double runCopyBandwidth(CopyPath path, CopyMethod method,
 /** The testbed whose machine hosts @p target. */
 Testbed testbedFor(Target target);
 
-/** Build the machine that hosts @p target with the full option set
- *  (faults, QoS, watchdog); @p prefetch overrides opts.prefetch for
+/** Build the machine that hosts @p target from every MachineOptions
+ *  field of @p opts; @p prefetch overrides opts.prefetchEnabled for
  *  probes that always run with prefetching off. */
 std::unique_ptr<Machine> makeMachine(Target target, const Options &opts,
                                      bool prefetch);

@@ -31,7 +31,7 @@ OverloadResult
 runOverloadPoint(std::uint32_t threads, const Options &opts)
 {
     CXLMEMO_ASSERT(threads >= 1, "need at least one flood thread");
-    auto m = makeMachine(Target::Cxl, opts, opts.prefetch);
+    auto m = makeMachine(Target::Cxl, opts, opts.prefetchEnabled);
     const MemPolicy policy = MemPolicy::membind(m->cxlNode());
     NumaBuffer flood_buf =
         m->numa().alloc(std::uint64_t(threads) * regionBytes, policy);

@@ -30,7 +30,7 @@ runPool(const PoolSpec &spec, const Options &opts, unsigned jobs)
 
     Cluster::Options co;
     co.simThreads = opts.simThreads;
-    co.watchdogUs = opts.watchdogUs;
+    co.watchdogInterval = opts.watchdogInterval;
 
     PoolResult res;
     res.victim = spec.victimHost();

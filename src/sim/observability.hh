@@ -10,7 +10,6 @@
 #ifndef CXLMEMO_SIM_OBSERVABILITY_HH
 #define CXLMEMO_SIM_OBSERVABILITY_HH
 
-#include <cstddef>
 #include <cstdint>
 
 #include "sim/types.hh"
@@ -22,9 +21,6 @@ struct ObservabilityOptions
 {
     /** Trace every Nth request (0 = tracing off). */
     std::uint64_t traceSampleEvery = 0;
-
-    /** Completed spans kept in the watchdog post-mortem ring. */
-    std::size_t traceRing = 32;
 
     /** Metrics snapshot interval in sim time (0 = metrics off). */
     Tick metricsInterval = 0;

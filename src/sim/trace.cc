@@ -51,7 +51,7 @@ RequestTracer::fromOptions(const ObservabilityOptions &obs)
     if (obs.traceSampleEvery == 0 && obs.tailK == 0)
         return nullptr;
     return std::make_unique<RequestTracer>(obs.traceSampleEvery,
-                                           obs.traceRing, obs.tailK);
+                                           defaultRingCap, obs.tailK);
 }
 
 TraceSpan *

@@ -131,6 +131,10 @@ class TailCapture;
 class RequestTracer
 {
   public:
+    /** Completed spans a tracer keeps for the post-mortem ring unless
+     *  told otherwise. */
+    static constexpr std::size_t defaultRingCap = 32;
+
     /**
      * @param sampleEvery trace every Nth request (0 disables);
      * @param ringCap completed spans kept for the post-mortem ring;
@@ -142,7 +146,7 @@ class RequestTracer
      *        through a free list, so steady state allocates nothing.
      */
     explicit RequestTracer(std::uint64_t sampleEvery,
-                           std::size_t ringCap = 32,
+                           std::size_t ringCap = defaultRingCap,
                            std::uint32_t tailK = 0);
     ~RequestTracer();
 

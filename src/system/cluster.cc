@@ -298,7 +298,7 @@ Cluster::Cluster(const PoolSpec &spec, Options opts)
         CxlDeviceParams dp = testbed_params::agilexCxlDevice();
         dp.name = "pd" + std::to_string(d);
         devices_.push_back(std::make_unique<CxlMemDevice>(eq_, dp));
-        if (opts_.watchdogUs > 0.0)
+        if (opts_.watchdogInterval > 0)
             devices_.back()->enableProgressTracking();
         downstream.push_back(devices_.back().get());
     }
@@ -365,9 +365,9 @@ Cluster::Cluster(const PoolSpec &spec, Options opts)
     // The watchdog and the metrics sampler share one observer clock:
     // snapshots on the fabric queue, fenced on the parallel engine.
     const ObserverClock clock(eq_, exec_.get());
-    if (opts_.watchdogUs > 0.0) {
+    if (opts_.watchdogInterval > 0) {
         WatchdogParams wp;
-        wp.interval = ticksFromUs(opts_.watchdogUs);
+        wp.interval = opts_.watchdogInterval;
         watchdog_ = std::make_unique<Watchdog>(clock, wp);
         watchdog_->watch(sw_.get());
         for (auto &d : devices_)
@@ -761,8 +761,6 @@ Cluster::fenceCheck()
     if (anyWork || pool_->scrubbing()) {
         eq_.schedule(now + ticksFromNs(spec_.fenceCheckNs),
                      [this] { fenceCheck(); });
-    } else {
-        checkerArmed_ = false;
     }
 }
 
@@ -793,7 +791,6 @@ Cluster::run()
         });
     }
     // Fabric-domain kickoff: fence checker and the port-outage drill.
-    checkerArmed_ = true;
     eq_.schedule(ticksFromNs(spec_.fenceCheckNs),
                  [this] { fenceCheck(); });
     if (spec_.portDownHost >= 0) {

@@ -232,7 +232,7 @@ class Cluster
         std::int32_t soloHost = -1;
 
         /** Watchdog snapshot interval (0 = off). */
-        double watchdogUs = 0.0;
+        Tick watchdogInterval = 0;
 
         /** Hard simulated-time limit (0 = run to quiesce). */
         double limitUs = 0.0;
@@ -376,7 +376,6 @@ class Cluster
     std::vector<std::uint64_t> poisonCtr_;
     Tick crashTick_ = 0;
     Tick fencedAt_ = 0;
-    bool checkerArmed_ = false;
     bool ledgerAllOk_ = true;
     std::uint64_t quarantinedBytes_ = 0;
     std::uint64_t recoveredBytes_ = 0;

@@ -294,7 +294,7 @@ Machine::Machine(Testbed testbed, MachineOptions opts)
 {
     using namespace testbed_params;
 
-    std::uint32_t cores = testbedCores(testbed);
+    const std::uint32_t cores = testbedCores(testbed);
     std::uint32_t local_channels = 8;
     std::uint64_t local_capacity = 128 * giB;
     std::uint64_t llc_bytes = 60 * miB;
@@ -318,10 +318,6 @@ Machine::Machine(Testbed testbed, MachineOptions opts)
         llc_bytes = 15 * miB; // one LLC slice
         break;
     }
-    if (opts.numCores)
-        cores = *opts.numCores;
-    if (opts.localChannels)
-        local_channels = *opts.localChannels;
 
     // The fault model covers the CXL path only (the paper's device
     // under test); local/remote DDR5 stays healthy. No injector is
@@ -1024,10 +1020,9 @@ Machine::configString() const
        << " (issue " << nsFromTicks(coreParams_.issueCost)
        << " ns/op, " << coreParams_.loadFillBuffers << " LFBs, "
        << coreParams_.wcBuffers << " WC buffers)\n";
-    const auto &h = caches_->params();
-    os << "  L1D " << h.l1.sizeBytes / kiB << " KiB, L2 "
-       << h.l2.sizeBytes / miB << " MiB, LLC "
-       << h.llc.sizeBytes / miB << " MiB shared\n";
+    os << "  L1D " << caches_->l1Bytes() / kiB << " KiB, L2 "
+       << caches_->l2Bytes() / miB << " MiB, LLC "
+       << caches_->llcBytes() / miB << " MiB shared\n";
     os << "  node0 local-ddr5: " << local_->numChannels()
        << "x DDR5-4800 channels, "
        << numa_.node(localNode_).capacityBytes / giB << " GiB\n";

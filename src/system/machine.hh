@@ -63,8 +63,6 @@ struct MachineOptions
     bool prefetchEnabled = false;
     /** Enable the per-core DTLB model (see HierarchyParams). */
     bool tlbEnabled = false;
-    std::optional<std::uint32_t> numCores;
-    std::optional<std::uint32_t> localChannels;
     /** Replace the CXL device (e.g. a hypothetical ASIC; see
      *  bench_future_cxl). */
     std::optional<CxlDeviceParams> cxlDevice;

@@ -381,7 +381,7 @@ TEST(MachineFaults, LoadedSweepsRecoverUnderTheWatchdog)
         ASSERT_TRUE(spec.has_value()) << err;
         memo::Options o;
         o.faults = *spec;
-        o.watchdogUs = 100.0;
+        o.watchdogInterval = ticksFromUs(100.0);
         bool watched = false;
         o.onMachineDone = [&watched](Machine &m) {
             watched = m.watchdog() != nullptr && !m.watchdog()->tripped();

@@ -50,12 +50,8 @@ TEST(Machine, SncQuadrantShrinksLlcAndChannels)
 TEST(Machine, OptionsOverridePreset)
 {
     MachineOptions o;
-    o.numCores = 8;
-    o.localChannels = 4;
     o.prefetchEnabled = true;
     Machine m(Testbed::SingleSocketCxl, o);
-    EXPECT_EQ(m.numCores(), 8u);
-    EXPECT_EQ(m.localMem().numChannels(), 4u);
     EXPECT_TRUE(m.caches().params().prefetchEnabled);
 }
 
@@ -67,6 +63,11 @@ TEST(Machine, ConfigStringMentionsAllNodes)
     EXPECT_NE(s.find("remote-ddr5"), std::string::npos);
     EXPECT_NE(s.find("cxl-dram"), std::string::npos);
     EXPECT_NE(s.find("CPU-less"), std::string::npos);
+    // The 105 MiB requested LLC holds 65,536 of its 114,688 sets:
+    // Table 1 prints what the model holds.
+    EXPECT_NE(s.find("L1D 48 KiB, L2 2 MiB, LLC 60 MiB shared"),
+              std::string::npos)
+        << s;
 }
 
 TEST(Machine, MakeThreadRespectsCoreBound)

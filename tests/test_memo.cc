@@ -197,12 +197,51 @@ TEST(MemoDataMove, MovdirBeatsMemcpyTowardCxl)
 TEST(MemoPrefetch, HelpsSequentialSingleThread)
 {
     memo::Options on = fastOpts();
-    on.prefetch = true;
+    on.prefetchEnabled = true;
     const double with_pf = memo::runSeqBandwidth(
         memo::Target::Ddr5Local, MemOp::Kind::Load, 1, on);
     const double without = memo::runSeqBandwidth(
         memo::Target::Ddr5Local, MemOp::Kind::Load, 1, fastOpts());
     EXPECT_GT(with_pf, without);
+}
+
+TEST(Memo, MakeMachineKeepsEveryMachineOption)
+{
+    memo::Options o;
+    o.tlbEnabled = true;
+    o.cxlDevice = testbed_params::agilexCxlDevice();
+    o.cxlDevice->name = "asic0";
+    o.faults.crcPerFlit = 1e-4;
+    std::string err;
+    const auto qos = QosSpec::parse("credits=24", err);
+    ASSERT_TRUE(qos.has_value()) << err;
+    o.qos = *qos;
+    o.watchdogInterval = ticksFromNs(5000.0);
+    o.obs.attribution = true;
+    o.prefetchEnabled = true;
+
+    auto m = memo::makeMachine(memo::Target::Cxl, o, /*prefetch=*/false);
+    EXPECT_TRUE(m->caches().params().tlbEnabled);
+    EXPECT_EQ(m->cxlDev().name(), "asic0");
+    EXPECT_NE(m->faults(), nullptr);
+    EXPECT_TRUE(m->qosStats().has_value());
+    EXPECT_NE(m->attribution(), nullptr);
+    // The prefetch argument wins over opts.prefetchEnabled.
+    EXPECT_FALSE(m->caches().params().prefetchEnabled);
+    // The watchdog takes its first snapshot one interval in (an
+    // observer event fires only while other work is pending).
+    ASSERT_NE(m->watchdog(), nullptr);
+    m->eq().schedule(ticksFromNs(6000.0), [] {});
+    m->runUntil(ticksFromNs(5000.0) - 1);
+    EXPECT_EQ(m->watchdog()->snapshots(), 0u);
+    m->runUntil(ticksFromNs(5000.0));
+    EXPECT_EQ(m->watchdog()->snapshots(), 1u);
+
+    o.prefetchEnabled = false;
+    EXPECT_TRUE(memo::makeMachine(memo::Target::Cxl, o, /*prefetch=*/true)
+                    ->caches()
+                    .params()
+                    .prefetchEnabled);
 }
 
 } // namespace

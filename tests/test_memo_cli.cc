@@ -194,17 +194,17 @@ TEST(MemoCli, FaultSpecFlagParses)
     auto cfg = parse({"--mode", "loaded", "--target", "cxl",
                       "--fault-spec", "crc=1e-4,poison=1e-6,retries=4"});
     ASSERT_TRUE(cfg.has_value());
-    EXPECT_TRUE(cfg->faults.enabled());
-    EXPECT_DOUBLE_EQ(cfg->faults.crcPerFlit, 1e-4);
-    EXPECT_DOUBLE_EQ(cfg->faults.readPoisonRate, 1e-6);
-    EXPECT_EQ(cfg->faults.maxHostRetries, 4u);
+    EXPECT_TRUE(cfg->run.faults.enabled());
+    EXPECT_DOUBLE_EQ(cfg->run.faults.crcPerFlit, 1e-4);
+    EXPECT_DOUBLE_EQ(cfg->run.faults.readPoisonRate, 1e-6);
+    EXPECT_EQ(cfg->run.faults.maxHostRetries, 4u);
 }
 
 TEST(MemoCli, FaultSpecDefaultsDisabled)
 {
     auto cfg = parse({"--mode", "seq"});
     ASSERT_TRUE(cfg.has_value());
-    EXPECT_FALSE(cfg->faults.enabled());
+    EXPECT_FALSE(cfg->run.faults.enabled());
 }
 
 TEST(MemoCli, FaultSpecRejectsBadGrammar)
@@ -223,12 +223,12 @@ TEST(MemoCli, ChaosSpecFlagParses)
                       "readd-at-ns=90000,contain=abort,crc-burst=8"});
     ASSERT_TRUE(cfg.has_value());
     EXPECT_EQ(cfg->mode, CliMode::Drill);
-    EXPECT_TRUE(cfg->chaos.enabled());
-    EXPECT_EQ(cfg->chaos.linkDownAtNs, 50000u);
-    EXPECT_EQ(cfg->chaos.removeAtNs, 80000u);
-    EXPECT_EQ(cfg->chaos.readdAtNs, 90000u);
-    EXPECT_EQ(cfg->chaos.contain, ContainPolicy::Abort);
-    EXPECT_EQ(cfg->chaos.crcBurstTrigger, 8u);
+    EXPECT_TRUE(cfg->run.chaos.enabled());
+    EXPECT_EQ(cfg->run.chaos.linkDownAtNs, 50000u);
+    EXPECT_EQ(cfg->run.chaos.removeAtNs, 80000u);
+    EXPECT_EQ(cfg->run.chaos.readdAtNs, 90000u);
+    EXPECT_EQ(cfg->run.chaos.contain, ContainPolicy::Abort);
+    EXPECT_EQ(cfg->run.chaos.crcBurstTrigger, 8u);
     EXPECT_NE(cliUsage().find("--chaos-spec"), std::string::npos);
     EXPECT_NE(cliUsage().find("drill"), std::string::npos);
 }
@@ -237,7 +237,7 @@ TEST(MemoCli, ChaosSpecDefaultsDisabled)
 {
     auto cfg = parse({"--mode", "drill"});
     ASSERT_TRUE(cfg.has_value());
-    EXPECT_FALSE(cfg->chaos.enabled());
+    EXPECT_FALSE(cfg->run.chaos.enabled());
 }
 
 TEST(MemoCli, ChaosSpecRejectsBadGrammar)
@@ -301,11 +301,16 @@ TEST(MemoCli, WatchdogNsConsumesItsValue)
         std::string err;
         const auto cfg = parseCli(v, err);
         ASSERT_TRUE(cfg.has_value()) << err;
-        EXPECT_DOUBLE_EQ(cfg->watchdogUs, 5.0);
+        EXPECT_EQ(cfg->run.watchdogInterval, ticksFromNs(5000.0));
     }
-    // --watchdog alone keeps its 100 us default.
-    EXPECT_DOUBLE_EQ(parse({"--mode", "seq", "--watchdog"})->watchdogUs,
-                     100.0);
+    // --watchdog alone keeps its 100 us default, and does not replace
+    // an interval given before it.
+    EXPECT_EQ(parse({"--mode", "seq", "--watchdog"})->run.watchdogInterval,
+              ticksFromUs(100.0));
+    EXPECT_EQ(parse({"--mode", "seq", "--watchdog-ns", "5000", "--watchdog"})
+                  ->run.watchdogInterval,
+              ticksFromNs(5000.0));
+    EXPECT_EQ(parse({"--mode", "seq"})->run.watchdogInterval, 0u);
     EXPECT_FALSE(parse({"--mode", "seq", "--watchdog-ns", "0"}));
     EXPECT_FALSE(parse({"--mode", "seq", "--watchdog-ns"}));
 }
@@ -325,9 +330,9 @@ TEST(MemoCli, DefaultsAreSane)
     EXPECT_EQ(cfg->target, Target::Ddr5Local);
     EXPECT_EQ(cfg->op, MemOp::Kind::Load);
     EXPECT_EQ(cfg->threads, (std::vector<std::uint32_t>{1}));
-    EXPECT_FALSE(cfg->prefetch);
+    EXPECT_FALSE(cfg->run.prefetchEnabled);
     EXPECT_FALSE(cfg->csv);
-    EXPECT_EQ(cfg->seed, 42u);
+    EXPECT_EQ(cfg->run.seed, 42u);
 }
 
 TEST(MemoCli, ObservabilityFlagsParse)
@@ -338,12 +343,9 @@ TEST(MemoCli, ObservabilityFlagsParse)
                       "--histograms"});
     ASSERT_TRUE(cfg.has_value());
     EXPECT_EQ(cfg->traceOut, "t.json");
-    EXPECT_EQ(cfg->traceSampleEvery, 32u);
     EXPECT_EQ(cfg->metricsOut, "m.csv");
-    EXPECT_EQ(cfg->metricsIntervalNs, 250u);
-    EXPECT_TRUE(cfg->histograms);
 
-    const ObservabilityOptions obs = cfg->observability();
+    const ObservabilityOptions &obs = cfg->run.obs;
     EXPECT_EQ(obs.traceSampleEvery, 32u);
     EXPECT_EQ(obs.metricsInterval, ticksFromNs(250.0));
     EXPECT_TRUE(obs.latencyHistograms);
@@ -367,7 +369,7 @@ TEST(MemoCli, EqualsFormAcceptedEverywhere)
     // Values containing '=' (spec strings) still parse.
     auto fs = parse({"--mode", "seq", "--fault-spec=crc=1e-4"});
     ASSERT_TRUE(fs.has_value());
-    EXPECT_TRUE(fs->faults.enabled());
+    EXPECT_TRUE(fs->run.faults.enabled());
 }
 
 TEST(MemoCli, ObservabilityDefaultsResolve)
@@ -375,23 +377,23 @@ TEST(MemoCli, ObservabilityDefaultsResolve)
     // All off by default: bit-identical machine.
     auto off = parse({"--mode", "seq"});
     ASSERT_TRUE(off.has_value());
-    EXPECT_FALSE(off->observability().enabled());
+    EXPECT_FALSE(off->run.obs.enabled());
 
     // --trace-out alone turns tracing on at the default 1/64 rate.
     auto tr = parse({"--mode", "seq", "--trace-out", "t.json"});
     ASSERT_TRUE(tr.has_value());
-    EXPECT_EQ(tr->observability().traceSampleEvery, 64u);
+    EXPECT_EQ(tr->run.obs.traceSampleEvery, 64u);
 
     // --metrics-out alone samples at the default 1000 ns.
     auto me = parse({"--mode", "seq", "--metrics-out", "m.csv"});
     ASSERT_TRUE(me.has_value());
-    EXPECT_EQ(me->observability().metricsInterval, ticksFromNs(1000.0));
+    EXPECT_EQ(me->run.obs.metricsInterval, ticksFromNs(1000.0));
 
     // An explicit sample rate enables the post-mortem ring even
     // without an output file.
     auto ring = parse({"--mode", "seq", "--trace-sample", "8"});
     ASSERT_TRUE(ring.has_value());
-    EXPECT_EQ(ring->observability().traceSampleEvery, 8u);
+    EXPECT_EQ(ring->run.obs.traceSampleEvery, 8u);
 }
 
 TEST(MemoCli, ObservabilityFlagsRejectGarbage)
@@ -487,15 +489,15 @@ TEST(MemoCli, ReportModeParsesAndForcesAttribution)
                             "--op", "load", "--threads", "1,8"});
     ASSERT_TRUE(cfg);
     EXPECT_EQ(cfg->mode, CliMode::Report);
-    EXPECT_TRUE(cfg->observability().attribution);
+    EXPECT_TRUE(cfg->run.obs.attribution);
     // --attrib alone enables it for regular sweeps too.
     const auto seq = parse({"--mode", "seq", "--attrib"});
     ASSERT_TRUE(seq);
-    EXPECT_TRUE(seq->observability().attribution);
+    EXPECT_TRUE(seq->run.obs.attribution);
     // ...and off by default.
     const auto plain = parse({"--mode", "seq"});
     ASSERT_TRUE(plain);
-    EXPECT_FALSE(plain->observability().attribution);
+    EXPECT_FALSE(plain->run.obs.attribution);
 }
 
 /* --------------------------- pool mode --------------------------- */
@@ -512,7 +514,7 @@ TEST(MemoCli, PoolModeParsesSpecIntoConfig)
     EXPECT_EQ(cfg->poolSpec.ops, 500u);
     EXPECT_EQ(cfg->poolSpec.crashHost, 1);
     EXPECT_EQ(cfg->poolSpec.aggressor, 3);
-    EXPECT_EQ(cfg->simThreads, 2u);
+    EXPECT_EQ(cfg->run.simThreads, 2u);
     EXPECT_EQ(cfg->jobs, 2u);
     // Defaults: pool mode without a spec is the clean two-host run.
     const auto bare = parse({"--mode", "pool"});
@@ -740,7 +742,7 @@ TEST(MemoCli, HistogramsAcceptedEverywhereIncludingPool)
         EXPECT_TRUE(parse({"--mode", mode, "--histograms"})) << mode;
     const auto cfg = parse({"--mode", "pool", "--histograms"});
     ASSERT_TRUE(cfg);
-    EXPECT_TRUE(cfg->observability().latencyHistograms);
+    EXPECT_TRUE(cfg->run.obs.latencyHistograms);
 }
 
 /* ------------------------- tail forensics ------------------------ */
@@ -751,13 +753,12 @@ TEST(MemoCli, TailTraceFlagParses)
         parse({"--mode", "loaded", "--target", "cxl", "--tail-trace",
                "16"});
     ASSERT_TRUE(cfg);
-    EXPECT_EQ(cfg->tailK, 16u);
-    EXPECT_EQ(cfg->observability().tailK, 16u);
-    EXPECT_TRUE(cfg->observability().enabled());
+    EXPECT_EQ(cfg->run.obs.tailK, 16u);
+    EXPECT_TRUE(cfg->run.obs.enabled());
     // Default: off, and not enabling observability by itself.
     const auto plain = parse({"--mode", "loaded"});
     ASSERT_TRUE(plain);
-    EXPECT_EQ(plain->tailK, 0u);
+    EXPECT_EQ(plain->run.obs.tailK, 0u);
 }
 
 TEST(MemoCli, TailTraceRejectsBadDepths)
@@ -891,7 +892,7 @@ TEST(MemoCli, PoolModeAcceptsFabricObservability)
                "--attrib", "--trace-out", "t.json", "--metrics-out",
                "m.csv"});
     ASSERT_TRUE(cfg);
-    const ObservabilityOptions obs = cfg->observability();
+    const ObservabilityOptions &obs = cfg->run.obs;
     EXPECT_TRUE(obs.attribution);
     EXPECT_EQ(obs.traceSampleEvery, 64u);
     EXPECT_EQ(obs.metricsInterval, ticksFromNs(1000.0));

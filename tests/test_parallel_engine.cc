@@ -546,7 +546,7 @@ TEST(MachineParallel, ChaosEventsCrossToWatchdogAtFences)
         o.chaos.linkDownAtNs = 25000;
         o.chaos.removeAtNs = 45000;
         o.chaos.readdAtNs = 55000;
-        o.watchdogUs = 30.0; // several snapshot fences during the run
+        o.watchdogInterval = ticksFromUs(30.0); // several snapshot fences during the run
         std::vector<std::string> events;
         bool tripped = true;
         o.onMachineDone = [&](Machine &m) {

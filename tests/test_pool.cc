@@ -206,7 +206,7 @@ TEST(Pool, AbortContainmentAlsoConvergesAndConserves)
         err);
     ASSERT_TRUE(sp.has_value()) << err;
     memo::Options o;
-    o.watchdogUs = 100.0; // memo's --watchdog
+    o.watchdogInterval = ticksFromUs(100.0); // memo's --watchdog
     const auto r = runPool(*sp, o);
     EXPECT_TRUE(r.cluster.hosts[1].fenced);
     EXPECT_TRUE(r.cluster.ledgerOk);
@@ -380,7 +380,7 @@ TEST(Pool, WatchdogPostMortemNamesStuckPort)
         err);
     ASSERT_TRUE(sp.has_value()) << err;
     Cluster::Options o;
-    o.watchdogUs = 20.0;
+    o.watchdogInterval = ticksFromUs(20.0);
     o.limitUs = 500.0;
     Cluster c(*sp, o);
     const auto r = c.run();
@@ -394,7 +394,7 @@ TEST(Pool, WatchdogPostMortemNamesStuckPort)
 TEST(Pool, WatchdogStaysQuietOnAHealthyDrill)
 {
     Cluster::Options o;
-    o.watchdogUs = 50.0;
+    o.watchdogInterval = ticksFromUs(50.0);
     Cluster c(drillSpec(), o);
     const auto r = c.run();
     EXPECT_FALSE(r.watchdogTripped) << r.watchdogReport;
@@ -412,7 +412,7 @@ TEST(Pool, BothObserversLetTheRunEndAtItsLastEvent)
         o.limitUs = 10000.0;
         Cluster dark(drillSpec(), o);
         const auto ref = dark.run();
-        o.watchdogUs = 20.0;
+        o.watchdogInterval = ticksFromUs(20.0);
         o.obs.metricsInterval = ticksFromNs(20000.0);
         Cluster armed(drillSpec(), o);
         const auto r = armed.run();

@@ -582,7 +582,7 @@ TEST(QosDeterminism, ThrottledSweepIdenticalAcrossJobs)
         QosSpec::parse("credits=24,policy=aimd,burst=12", err);
     ASSERT_TRUE(qos.has_value()) << err;
     opts.qos = *qos;
-    opts.watchdogUs = 50.0;
+    opts.watchdogInterval = ticksFromUs(50.0);
 
     const std::vector<std::uint32_t> threads = {2, 4, 8};
     auto sweep = [&](unsigned jobs) {
